@@ -5,7 +5,7 @@ import time
 import numpy as np
 
 from repro.core.metrics import rtt_stats
-from repro.core.pipeline import compute_rtt_series
+from repro.core.pipeline import compute_rtt_series_multi
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.network.graph import ConnectivityMode
 from repro.persistence import save_rtt_series
@@ -22,10 +22,10 @@ scenario = Scenario.paper_default("starlink", scale)
 series = {}
 for mode in (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID):
     started = time.time()
-    result = compute_rtt_series(
-        scenario, mode,
+    result = compute_rtt_series_multi(
+        scenario, [mode],
         progress=lambda i, n: print(f"{mode.value} {i}/{n}", flush=True),
-    )
+    )[mode]
     save_rtt_series(result, f"results/full48_{mode.value}")
     series[mode.value] = result
     print(f"{mode.value} done in {time.time() - started:.0f}s", flush=True)

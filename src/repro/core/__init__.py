@@ -2,7 +2,7 @@
 
 from repro.core.checkpoint import (
     CheckpointMismatchError,
-    RttCheckpoint,
+    SnapshotCheckpoint,
     checkpoint_for,
     checkpoint_root,
     scenario_fingerprint,
@@ -25,9 +25,6 @@ from repro.core.parallel import (
     FaultPolicy,
     SnapshotFailure,
     SweepError,
-    compute_rtt_series_parallel,
-    compute_rtt_series_parallel_multi,
-    default_worker_count,
 )
 from repro.core.runner import (
     ExperimentFailure,
@@ -38,7 +35,6 @@ from repro.core.runner import (
 )
 from repro.core.pipeline import (
     RttSeries,
-    compute_rtt_series,
     compute_rtt_series_multi,
     pair_path_at,
     pair_paths_on_graph,
@@ -50,17 +46,13 @@ __all__ = [
     "ScenarioScale",
     "full_scale_requested",
     "RttSeries",
-    "compute_rtt_series",
     "compute_rtt_series_multi",
-    "compute_rtt_series_parallel",
-    "compute_rtt_series_parallel_multi",
-    "default_worker_count",
     "SnapshotEngine",
     "StaticContext",
     "GeometryFrame",
     "EngineCacheStats",
     "assemble_graph",
-    "RttCheckpoint",
+    "SnapshotCheckpoint",
     "CheckpointMismatchError",
     "checkpoint_for",
     "checkpoint_root",

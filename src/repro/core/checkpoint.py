@@ -1,36 +1,37 @@
-"""Checkpoint/resume for long RTT sweeps, with content-integrity checks.
+"""Checkpoint/resume for long snapshot sweeps, with content-integrity checks.
 
 Full-scale runs (96 snapshots x 2 modes over a ~65k-node graph) take
 hours; a crash, OOM kill, or Ctrl-C must not lose completed work. This
-module checkpoints per-snapshot RTT rows to disk as they finish:
+module checkpoints per-snapshot rows (RTTs, throughput aggregates, ...)
+to disk as they finish:
 
 * each snapshot becomes one atomic ``.npz`` shard (written to a temp
   file in the target directory, ``os.replace``-d into place, and the
   parent directory fsync'd so a crash can neither truncate nor unlink a
   committed shard);
 * a ``manifest.json`` pins the sweep's shape (mode, snapshot times,
-  pair count) so a resume against the wrong configuration fails loudly
+  row length) so a resume against the wrong configuration fails loudly
   instead of silently mixing incompatible rows — and records a SHA-256
   content digest for every committed shard.
 
-Resume *verifies* rather than trusts: :meth:`RttCheckpoint.completed_indices`
-recomputes each shard's digest and validates its payload against the
-manifest; a truncated, bit-flipped, misindexed, or unrecorded shard is
-moved to a ``quarantine/`` subdirectory with a structured reason record
-(see :mod:`repro.integrity.quarantine`) and the snapshot is scheduled
-for recompute — the sweep self-heals instead of crashing or, worse,
+Resume *verifies* rather than trusts:
+:meth:`SnapshotCheckpoint.completed_indices` recomputes each shard's
+digest and validates its payload against the manifest; a truncated,
+bit-flipped, misindexed, or unrecorded shard is moved to a
+``quarantine/`` subdirectory with a structured reason record (see
+:mod:`repro.integrity.quarantine`) and the snapshot is scheduled for
+recompute — the sweep self-heals instead of crashing or, worse,
 producing poisoned figures.
 
-:func:`repro.core.pipeline.compute_rtt_series` and
-:func:`repro.core.parallel.compute_rtt_series_parallel` both accept a
-checkpoint and skip already-completed snapshots. The *checkpoint root*
-context (:func:`checkpoint_root`) lets an orchestrator — ``repro run
---resume DIR`` — turn checkpointing on for every sweep executed inside
-it without threading a parameter through each experiment: checkpoint
-directories are derived from a scenario fingerprint, so distinct
-configurations never collide under one root. ``repro run --resume DIR
---fresh`` quarantines a mismatched checkpoint directory and restarts it
-instead of raising.
+The snapshot map (:func:`repro.core.parallel.map_snapshot_rows`), and so
+every sweep on top of it, accepts checkpoints and skips already-completed
+snapshots. The *checkpoint root* context (:func:`checkpoint_root`) lets
+an orchestrator — ``repro run --resume DIR`` — turn checkpointing on for
+every sweep executed inside it without threading a parameter through
+each experiment: checkpoint directories are derived from a scenario
+fingerprint, so distinct configurations never collide under one root.
+``repro run --resume DIR --fresh`` quarantines a mismatched checkpoint
+directory and restarts it instead of raising.
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ from repro.integrity.quarantine import QUARANTINE_DIRNAME, note, quarantine_file
 from repro.network.graph import ConnectivityMode
 from repro.obs import span
 
-if TYPE_CHECKING:  # circular at runtime: pipeline imports this module lazily
+if TYPE_CHECKING:  # circular at runtime: pipeline imports this module
     from repro.core.pipeline import RttSeries
     from repro.core.scenario import Scenario
 
 __all__ = [
     "CheckpointMismatchError",
     "MANIFEST_VERSION",
-    "RttCheckpoint",
+    "SnapshotCheckpoint",
     "active_checkpoint_for",
     "active_checkpoint_root",
     "atomic_write_bytes",
@@ -187,12 +188,13 @@ def _config_fingerprint(config: dict) -> str:
 
 
 @dataclass
-class RttCheckpoint:
+class SnapshotCheckpoint:
     """Per-snapshot row shards plus a validating manifest, in one directory.
 
-    Despite the name (and the shards' historical ``rtt_ms`` array key),
-    the stored rows are generic float vectors of length ``num_pairs``:
-    the generic snapshot map checkpoints throughput series and other
+    The stored rows are generic float vectors of length ``num_pairs``
+    (the manifest key and the shards' ``rtt_ms`` array key keep their
+    historical RTT names, so existing checkpoint trees still resume):
+    the snapshot map checkpoints RTT rows, throughput series and other
     per-snapshot rows through the same shard format, distinguished by
     the directory's label/fingerprint (see :func:`checkpoint_for`).
     """
@@ -210,7 +212,7 @@ class RttCheckpoint:
         times_s: np.ndarray,
         num_pairs: int,
         fresh: bool = False,
-    ) -> "RttCheckpoint":
+    ) -> "SnapshotCheckpoint":
         """Open (creating if needed) a checkpoint directory for one sweep.
 
         Raises :class:`CheckpointMismatchError` when the directory's
@@ -469,7 +471,7 @@ class RttCheckpoint:
 
 # --- Ambient checkpoint root -------------------------------------------------
 #
-# ``repro run --resume DIR`` wants every RTT sweep in the batch to
+# ``repro run --resume DIR`` wants every snapshot sweep in the batch to
 # checkpoint under DIR without rewriting each experiment to accept a
 # checkpoint argument. A module-level root (set via context manager)
 # plus per-scenario fingerprinted subdirectories gives exactly that.
@@ -500,7 +502,7 @@ def active_checkpoint_root() -> Path | None:
 
 @contextmanager
 def checkpoint_root(root: str | Path | None, fresh: bool = False):
-    """Context manager: all RTT sweeps inside checkpoint under ``root``."""
+    """Context manager: all snapshot sweeps inside checkpoint under ``root``."""
     previous_root, previous_fresh = _ACTIVE_ROOT, _ACTIVE_FRESH
     set_checkpoint_root(root, fresh=fresh)
     try:
@@ -522,14 +524,14 @@ def checkpoint_for(
     label: str = "",
     times_s: np.ndarray | None = None,
     row_len: int | None = None,
-) -> RttCheckpoint:
+) -> SnapshotCheckpoint:
     """The checkpoint for one (scenario, mode) sweep under ``root``.
 
     The defaults describe the RTT sweep (one row entry per scenario
     pair, the scenario's own snapshot grid, empty label) — exactly the
     historical behaviour, so existing RTT checkpoints keep resuming.
-    Generic snapshot sweeps (see
-    :func:`repro.core.parallel.map_snapshot_rows_serial`) pass their own
+    Other snapshot sweeps (see
+    :func:`repro.core.parallel.map_snapshot_rows`) pass their own
     ``label`` / ``times_s`` / ``row_len``: the label lands both in the
     directory name (human-readable, sanitized) and in the fingerprint
     (collision-proof even for hostile labels), and ``row_len`` replaces
@@ -540,7 +542,7 @@ def checkpoint_for(
     if label:
         name = f"{_LABEL_SANITIZER.sub('_', label)}-{name}"
     times = scenario.times_s if times_s is None else np.asarray(times_s, dtype=float)
-    return RttCheckpoint.open(
+    return SnapshotCheckpoint.open(
         Path(root) / name,
         mode=mode,
         times_s=times,
@@ -556,7 +558,7 @@ def active_checkpoint_for(
     label: str = "",
     times_s: np.ndarray | None = None,
     row_len: int | None = None,
-) -> RttCheckpoint | None:
+) -> SnapshotCheckpoint | None:
     """Checkpoint under the ambient root, or ``None`` when none is set."""
     if _ACTIVE_ROOT is None:
         return None

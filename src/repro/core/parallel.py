@@ -1,22 +1,20 @@
-"""Fault-tolerant snapshot mapping: the generic sweep engine.
+"""The snapshot map: the one sweep engine, in-process or fault-tolerant.
 
 Snapshots are embarrassingly parallel — each builds its own graph and
 runs its own batched Dijkstra — so the paper-scale configuration (96
 snapshots x 2 modes over a ~65k-node graph) parallelizes almost
-perfectly across cores. This module provides the *generic* engine that
-maps an arbitrary per-snapshot evaluator over a scenario's snapshot
-grid, in-process (:func:`map_snapshot_rows_serial`) or across a worker
-pool (:func:`map_snapshot_rows_parallel`), with identical output either
-way. The RTT sweep (:func:`compute_rtt_series_parallel`), the
-throughput series (:func:`repro.flows.throughput.throughput_series_gbps`),
-and the fig4/fig5/disconnected experiments are all thin evaluators on
-top of it.
+perfectly across cores. :func:`map_snapshot_rows` maps an arbitrary
+per-snapshot evaluator over a scenario's snapshot grid, in-process or
+across a worker pool, with identical output either way. The RTT sweep
+(:func:`repro.core.pipeline.compute_rtt_series_multi`), the throughput
+series (:func:`repro.flows.throughput.throughput_series_gbps`), and the
+fig4/fig5/disconnected experiments are all thin evaluators on top of it.
 
 An evaluator is a picklable callable ``evaluator(scenario, time_s,
 mode) -> ndarray`` returning one float row per (snapshot, mode). A
 worker task evaluates *every* requested mode of its snapshot, so the
 modes share the worker's process-local geometry frame — the parallel
-analogue of the serial sweep's time-outer/mode-inner loop.
+analogue of the in-process time-outer/mode-inner loop.
 
 Long sweeps must survive partial failure, so the pool is wrapped in a
 resilience layer governed by :class:`FaultPolicy`:
@@ -47,7 +45,6 @@ even that copy is copy-on-write.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from collections.abc import Mapping
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -58,10 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.checkpoint import RttCheckpoint, active_checkpoint_for
-from repro.core.pipeline import RttSeries, _pair_rtts_on_graph
+from repro.core.checkpoint import SnapshotCheckpoint, active_checkpoint_for
 from repro.core.scenario import Scenario
-from repro.integrity.guards import check_rtt_series, strict_enabled
 from repro.integrity.quarantine import note
 from repro.network.graph import ConnectivityMode
 
@@ -69,11 +64,7 @@ __all__ = [
     "FaultPolicy",
     "SnapshotFailure",
     "SweepError",
-    "compute_rtt_series_parallel",
-    "compute_rtt_series_parallel_multi",
-    "default_worker_count",
-    "map_snapshot_rows_parallel",
-    "map_snapshot_rows_serial",
+    "map_snapshot_rows",
 ]
 
 #: Evaluator contract: one float row for one (snapshot, mode) cell.
@@ -150,11 +141,6 @@ class SweepError(RuntimeError):
         )
 
 
-def default_worker_count() -> int:
-    """A sensible worker count: physical-ish cores, at least 1."""
-    return max((os.cpu_count() or 2) - 1, 1)
-
-
 def _row_widths(modes, row_len) -> "dict[ConnectivityMode, int]":
     """Per-mode row width from an int or a mode -> width mapping."""
     if isinstance(row_len, Mapping):
@@ -167,24 +153,6 @@ def _row_widths(modes, row_len) -> "dict[ConnectivityMode, int]":
     return widths
 
 
-def _resolve_checkpoints(
-    scenario: Scenario,
-    modes,
-    checkpoints,
-    label: str,
-    times: np.ndarray,
-    widths: "dict[ConnectivityMode, int]",
-) -> "dict[ConnectivityMode, RttCheckpoint | None]":
-    """Explicit checkpoints, with ambient-root fallback per mode."""
-    resolved: dict[ConnectivityMode, RttCheckpoint | None] = dict(checkpoints or {})
-    for mode in modes:
-        if resolved.get(mode) is None:
-            resolved[mode] = active_checkpoint_for(
-                scenario, mode, label=label, times_s=times, row_len=widths[mode]
-            )
-    return resolved
-
-
 def _coerce_row(row, width: int, mode: ConnectivityMode, time_s: float) -> np.ndarray:
     row = np.asarray(row, dtype=float)
     if row.shape != (width,):
@@ -193,79 +161,6 @@ def _coerce_row(row, width: int, mode: ConnectivityMode, time_s: float) -> np.nd
             f"t={time_s:g}s, expected ({width},)"
         )
     return row
-
-
-def map_snapshot_rows_serial(
-    scenario: Scenario,
-    modes,
-    evaluator: SnapshotEvaluator,
-    *,
-    row_len,
-    times_s: np.ndarray | None = None,
-    label: str = "",
-    checkpoints: "dict[ConnectivityMode, RttCheckpoint] | None" = None,
-    progress: Callable[[int, int], None] | None = None,
-) -> "dict[ConnectivityMode, np.ndarray]":
-    """Evaluate every (snapshot, mode) cell in-process; rows as columns.
-
-    The loop is time-outer, mode-inner: every requested mode of one
-    snapshot is evaluated before the sweep moves to the next time, so a
-    BP + hybrid comparison pays for satellite propagation and KD-tree
-    visibility queries exactly once per snapshot (the engine's frame
-    cache serves the second mode from memory).
-
-    Returns ``{mode: array of shape (row_len[mode], num_snapshots)}``.
-    ``row_len`` is an int, or a mapping when modes have different row
-    widths (e.g. fig5's one BP number vs one hybrid number per ISL
-    ratio). ``times_s`` defaults to the scenario's snapshot grid.
-    ``label`` names the sweep for checkpointing — sweeps with different
-    labels never share shards. ``checkpoints`` maps modes to
-    checkpoints; modes without an entry fall back to the ambient
-    checkpoint root (see :mod:`repro.core.checkpoint`). ``progress`` is
-    called as ``progress(i + 1, total)`` after each snapshot.
-    """
-    modes = list(modes)
-    times = scenario.times_s if times_s is None else np.asarray(times_s, dtype=float)
-    widths = _row_widths(modes, row_len)
-    resolved = _resolve_checkpoints(scenario, modes, checkpoints, label, times, widths)
-    total = len(times)
-    completed = {
-        mode: (
-            resolved[mode].completed_indices()
-            if resolved[mode] is not None
-            else frozenset()
-        )
-        for mode in modes
-    }
-    rows = {mode: np.full((widths[mode], total), np.inf) for mode in modes}
-    for i, time_s in enumerate(times):
-        for mode in modes:
-            checkpoint = resolved[mode]
-            if i in completed[mode]:
-                obs.incr("checkpoint.hits")
-                rows[mode][:, i] = checkpoint.load_snapshot(i)
-                continue
-            if checkpoint is not None:
-                obs.incr("checkpoint.misses")
-            with obs.span("snapshot"):
-                row = _coerce_row(
-                    evaluator(scenario, float(time_s), mode),
-                    widths[mode],
-                    mode,
-                    float(time_s),
-                )
-            rows[mode][:, i] = row
-            if checkpoint is not None:
-                try:
-                    checkpoint.store_snapshot(i, row)
-                except OSError:
-                    # Disk full (or gone): the sweep's numbers are
-                    # unaffected — continue uncheckpointed and let
-                    # the run summary surface the degradation.
-                    note("store_errors")
-        if progress is not None:
-            progress(i + 1, total)
-    return rows
 
 
 def _init_worker(
@@ -289,8 +184,8 @@ def _snapshot_rows(time_s: float) -> "dict[ConnectivityMode, np.ndarray]":
     assert _WORKER_EVALUATOR is not None
     rows = {}
     for mode in _WORKER_MODES:
-        # One ``snapshot`` span per (time, mode), matching the serial
-        # map's span shape; all modes assemble from one cached geometry
+        # One ``snapshot`` span per (time, mode), matching the
+        # in-process span shape; all modes assemble from one cached geometry
         # frame via the worker's process-local engine.
         with obs.span("snapshot"):
             rows[mode] = np.asarray(
@@ -322,7 +217,7 @@ def _eval_snapshot(
     return rows, registry.snapshot()
 
 
-def map_snapshot_rows_parallel(
+def map_snapshot_rows(
     scenario: Scenario,
     modes,
     evaluator: SnapshotEvaluator,
@@ -330,94 +225,150 @@ def map_snapshot_rows_parallel(
     row_len,
     times_s: np.ndarray | None = None,
     label: str = "",
-    processes: int | None = None,
-    checkpoints: "dict[ConnectivityMode, RttCheckpoint] | None" = None,
+    processes: int = 1,
+    checkpoints: "dict[ConnectivityMode, SnapshotCheckpoint] | None" = None,
     policy: FaultPolicy | None = None,
     progress: Callable[[int, int], None] | None = None,
     fault_hook: Callable[[int, float], None] | None = None,
 ) -> "dict[ConnectivityMode, np.ndarray]":
-    """Parallel :func:`map_snapshot_rows_serial` with fault tolerance.
+    """Evaluate every (snapshot, mode) cell; rows come back as columns.
 
-    Each worker task evaluates *all* requested modes of one snapshot, so
-    the modes share the worker's process-local geometry frame. Results
-    are bit-identical to the serial map (each snapshot's evaluation is
-    deterministic and independent); with ``processes <= 1`` (or a single
-    snapshot) the call simply delegates to the serial map.
+    Returns ``{mode: array of shape (row_len[mode], num_snapshots)}``.
+    ``row_len`` is an int, or a mapping when modes have different row
+    widths (e.g. fig5's one BP number vs one hybrid number per ISL
+    ratio). ``times_s`` defaults to the scenario's snapshot grid.
 
-    ``evaluator`` must be picklable (a module-level function, or a
-    ``functools.partial`` of one). ``policy`` tunes the retry/timeout/
-    fallback behaviour; see :class:`FaultPolicy` — notably the timeout
-    bounds *stalls* (no snapshot completing within the window), so one
-    hung worker among many stragglers costs one window, not one window
-    each. ``progress`` is called as ``progress(done, total)`` as
-    snapshots land (a snapshot counts once all its modes are in).
-    ``fault_hook`` is a test seam: a picklable callable run inside each
-    worker, once per snapshot, before the real computation
-    (raise/hang/exit to simulate crashes); the serial fallback and
-    resumed rows never invoke it.
+    ``label`` names the sweep for checkpointing — sweeps with different
+    labels never share shards. ``checkpoints`` maps modes to
+    checkpoints; modes without an entry fall back to the ambient
+    checkpoint root (see :mod:`repro.core.checkpoint`). Every shard is
+    verified once, up front; verified rows are served from disk and only
+    the missing cells are evaluated, each persisted as it lands.
+
+    With ``processes <= 1`` (or a single pending snapshot) the pending
+    snapshots run in-process, time-outer and mode-inner: every mode of
+    one snapshot is evaluated before the next time, so a BP + hybrid
+    comparison pays for propagation and visibility queries once per
+    snapshot (the engine's frame cache serves the second mode). Otherwise
+    they fan out over a fault-tolerant worker pool, one task per snapshot
+    evaluating all its modes; results are bit-identical either way. The
+    pool path needs a picklable ``evaluator`` (a module-level function,
+    or a ``functools.partial`` of one); ``policy`` tunes its retry /
+    timeout / serial-fallback behaviour (see :class:`FaultPolicy`), and
+    ``fault_hook`` is a test seam run inside each worker before the real
+    computation (raise/hang/exit to simulate crashes) — the in-process
+    path never invokes it.
+
+    ``progress`` is called as ``progress(done, total)`` whenever a
+    snapshot completes (all its modes in), and once up front when
+    resumed rows already complete some snapshots.
     """
     modes = list(modes)
     times = scenario.times_s if times_s is None else np.asarray(times_s, dtype=float)
     widths = _row_widths(modes, row_len)
+    # Explicit checkpoints, with ambient-root fallback per mode.
+    resolved: dict[ConnectivityMode, SnapshotCheckpoint | None]
+    resolved = dict(checkpoints or {})
+    for mode in modes:
+        if resolved.get(mode) is None:
+            resolved[mode] = active_checkpoint_for(
+                scenario, mode, label=label, times_s=times, row_len=widths[mode]
+            )
     total = len(times)
-    policy = policy or FaultPolicy()
-    resolved = _resolve_checkpoints(scenario, modes, checkpoints, label, times, widths)
 
-    rows: dict[ConnectivityMode, dict[int, np.ndarray]] = {}
+    rows = {mode: np.full((widths[mode], total), np.inf) for mode in modes}
+    done: dict[ConnectivityMode, set[int]] = {}
     for mode in modes:
         checkpoint = resolved[mode]
-        rows[mode] = checkpoint.load_completed() if checkpoint is not None else {}
-    # Resumed rows are counted like the serial map counts them, so
-    # resume is observable regardless of which entry point served it —
-    # but only on paths that don't delegate to the serial map (which
-    # re-discovers and counts the same shards itself).
-    resumed_rows = sum(len(rows[mode]) for mode in modes)
+        resumed = checkpoint.load_completed() if checkpoint is not None else {}
+        for index, row in resumed.items():
+            rows[mode][:, index] = row
+        done[mode] = set(resumed)
+    hits = sum(len(done[mode]) for mode in modes)
+    misses = sum(
+        total - len(done[mode]) for mode in modes if resolved[mode] is not None
+    )
+    if hits:
+        obs.incr("checkpoint.hits", hits)
+    if misses:
+        obs.incr("checkpoint.misses", misses)
 
-    def done_count() -> int:
-        return sum(
-            1
-            for i in range(total)
-            if all(i in rows[mode] for mode in modes)
-        )
+    pending = [i for i in range(total) if any(i not in done[mode] for mode in modes)]
+    completed = total - len(pending)
+    if completed and progress is not None:
+        progress(completed, total)
 
-    done = done_count()
-    if done and progress is not None:
-        progress(done, total)
-    pending = [
-        i for i in range(total) if any(i not in rows[mode] for mode in modes)
-    ]
+    def store(index: int, mode: ConnectivityMode, row) -> None:
+        row = _coerce_row(row, widths[mode], mode, float(times[index]))
+        rows[mode][:, index] = row
+        done[mode].add(index)
+        checkpoint = resolved[mode]
+        if checkpoint is not None:
+            try:
+                checkpoint.store_snapshot(index, row)
+            except OSError:
+                # Disk full (or gone): the sweep's numbers are unaffected
+                # — keep the in-memory row, skip the shard, and let the
+                # run summary surface the degradation.
+                note("store_errors")
 
-    def finish() -> "dict[ConnectivityMode, np.ndarray]":
-        return {
-            mode: (
-                np.stack([rows[mode][i] for i in range(total)], axis=1)
-                if total
-                else np.full((widths[mode], 0), np.inf)
-            )
-            for mode in modes
-        }
+    def snapshot_done() -> None:
+        nonlocal completed
+        completed += 1
+        if progress is not None:
+            progress(completed, total)
 
-    if not pending:
-        if resumed_rows:
-            obs.incr("checkpoint.hits", resumed_rows)
-        return finish()
+    def evaluate_in_process(index: int) -> None:
+        for mode in modes:
+            if index not in done[mode]:
+                with obs.span("snapshot"):
+                    row = evaluator(scenario, float(times[index]), mode)
+                store(index, mode, row)
+        snapshot_done()
 
-    processes = processes or default_worker_count()
-    if processes <= 1 or total == 1:
-        return map_snapshot_rows_serial(
+    def record(index: int, mode_rows: "dict[ConnectivityMode, np.ndarray]") -> None:
+        for mode in modes:
+            if index not in done[mode]:
+                store(index, mode, mode_rows[mode])
+        snapshot_done()
+
+    if processes <= 1 or len(pending) <= 1:
+        for index in pending:
+            evaluate_in_process(index)
+    else:
+        _run_on_pool(
             scenario,
             modes,
             evaluator,
-            row_len=row_len,
-            times_s=times,
-            label=label,
-            checkpoints=resolved,
-            progress=progress,
+            times,
+            pending,
+            processes,
+            policy or FaultPolicy(),
+            fault_hook,
+            record,
+            evaluate_in_process,
         )
+    return rows
 
-    if resumed_rows:
-        obs.incr("checkpoint.hits", resumed_rows)
 
+def _run_on_pool(
+    scenario: Scenario,
+    modes: "list[ConnectivityMode]",
+    evaluator: SnapshotEvaluator,
+    times: np.ndarray,
+    pending: "list[int]",
+    processes: int,
+    policy: FaultPolicy,
+    fault_hook: Callable[[int, float], None] | None,
+    record: Callable[[int, "dict[ConnectivityMode, np.ndarray]"], None],
+    evaluate_in_process: Callable[[int], None],
+) -> None:
+    """Evaluate ``pending`` snapshots on a worker pool, per ``policy``.
+
+    Each worker's rows go to ``record``; snapshots still failing after
+    the pool rounds go to ``evaluate_in_process`` when the policy allows
+    a serial fallback. Raises :class:`SweepError` for the rest.
+    """
     # Materialize lazy state before forking so workers don't redo it.
     scenario.ground
     scenario.pairs
@@ -425,7 +376,6 @@ def map_snapshot_rows_parallel(
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )
-
     collect_metrics = obs.active_registry() is not None
 
     def make_executor() -> ProcessPoolExecutor:
@@ -435,25 +385,6 @@ def map_snapshot_rows_parallel(
             initializer=_init_worker,
             initargs=(scenario, tuple(modes), evaluator, fault_hook, collect_metrics),
         )
-
-    def record(index: int, mode_rows: "dict[ConnectivityMode, np.ndarray]") -> None:
-        for mode in modes:
-            if index in rows[mode]:
-                continue  # Resumed from this mode's checkpoint already.
-            row = _coerce_row(
-                mode_rows[mode], widths[mode], mode, float(times[index])
-            )
-            rows[mode][index] = row
-            checkpoint = resolved[mode]
-            if checkpoint is not None:
-                try:
-                    checkpoint.store_snapshot(index, row)
-                except OSError:
-                    # Disk full: keep the in-memory row, skip the shard,
-                    # surface the degradation via the integrity counters.
-                    note("store_errors")
-        if progress is not None:
-            progress(done_count(), total)
 
     attempts = dict.fromkeys(pending, 0)
     errors: dict[int, str] = {}
@@ -530,17 +461,12 @@ def map_snapshot_rows_parallel(
             attempts[index] += 1
             obs.incr("parallel.serial_fallbacks")
             try:
-                # Runs in-process: spans land on the parent registry and
-                # the modes share the parent engine's geometry frame.
-                mode_rows = {
-                    mode: evaluator(scenario, float(times[index]), mode)
-                    for mode in modes
-                }
+                # In-process: spans land on the parent registry and the
+                # modes share the parent engine's geometry frame.
+                evaluate_in_process(index)
             except Exception as exc:
                 errors[index] = f"serial fallback: {exc.__class__.__name__}: {exc}"
                 still_failing.append(index)
-            else:
-                record(index, mode_rows)
         remaining = still_failing
 
     if remaining:
@@ -555,103 +481,3 @@ def map_snapshot_rows_parallel(
                 for index in sorted(remaining)
             ]
         )
-
-    return finish()
-
-
-def _rtt_row(
-    scenario: Scenario, time_s: float, mode: ConnectivityMode
-) -> np.ndarray:
-    """The RTT evaluator: shortest-path RTTs for every pair, one snapshot."""
-    graph = scenario.graph_at(float(time_s), mode)
-    return _pair_rtts_on_graph(graph, scenario.pairs)
-
-
-def compute_rtt_series_parallel_multi(
-    scenario: Scenario,
-    modes,
-    processes: int | None = None,
-    *,
-    checkpoints: "dict[ConnectivityMode, RttCheckpoint] | None" = None,
-    policy: FaultPolicy | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    fault_hook: Callable[[int, float], None] | None = None,
-) -> "dict[ConnectivityMode, RttSeries]":
-    """Parallel multi-mode replacement for ``compute_rtt_series_multi``.
-
-    A thin RTT evaluator over :func:`map_snapshot_rows_parallel` — see
-    that function for the parallelism, checkpoint, and fault-tolerance
-    contract. Results are bit-identical to the serial version.
-    """
-    modes = list(modes)
-    times = scenario.times_s
-    resolved = _resolve_checkpoints(
-        scenario, modes, checkpoints, "", times, _row_widths(modes, len(scenario.pairs))
-    )
-    processes = processes or default_worker_count()
-    if processes <= 1 or len(times) == 1:
-        from repro.core.pipeline import compute_rtt_series_multi
-
-        return compute_rtt_series_multi(
-            scenario, modes, progress=progress, checkpoints=resolved
-        )
-    rows = map_snapshot_rows_parallel(
-        scenario,
-        modes,
-        _rtt_row,
-        row_len=len(scenario.pairs),
-        processes=processes,
-        checkpoints=resolved,
-        policy=policy,
-        progress=progress,
-        fault_hook=fault_hook,
-    )
-    series = {
-        mode: RttSeries(mode=mode, times_s=times, rtt_ms=rows[mode])
-        for mode in modes
-    }
-    if strict_enabled():
-        for mode in modes:
-            check_rtt_series(
-                series[mode], scenario.pairs, source=f"rtt[{mode.value}]"
-            )
-    return series
-
-
-def compute_rtt_series_parallel(
-    scenario: Scenario,
-    mode: ConnectivityMode,
-    processes: int | None = None,
-    *,
-    checkpoint: RttCheckpoint | None = None,
-    policy: FaultPolicy | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    fault_hook: Callable[[int, float], None] | None = None,
-) -> RttSeries:
-    """Drop-in parallel replacement for ``compute_rtt_series``.
-
-    Single-mode wrapper over :func:`compute_rtt_series_parallel_multi`.
-    Results are bit-identical to the serial version (each snapshot's
-    computation is deterministic and independent). Falls back to the
-    serial path when only one process is requested.
-
-    ``checkpoint`` (or the ambient checkpoint root, see
-    :mod:`repro.core.checkpoint`) makes the sweep resumable: completed
-    snapshots are loaded from disk instead of recomputed, and every new
-    row is persisted the moment it lands. ``policy`` tunes the
-    retry/timeout/fallback behaviour. ``progress`` is called as
-    ``progress(done, total)`` as rows land. ``fault_hook`` is a test
-    seam: a picklable callable run inside each worker before the real
-    computation (raise/hang/exit to simulate crashes); the serial
-    fallback and resumed rows never invoke it.
-    """
-    series = compute_rtt_series_parallel_multi(
-        scenario,
-        [mode],
-        processes,
-        checkpoints={mode: checkpoint} if checkpoint is not None else None,
-        policy=policy,
-        progress=progress,
-        fault_hook=fault_hook,
-    )
-    return series[mode]

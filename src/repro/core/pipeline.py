@@ -3,7 +3,8 @@
 For each snapshot, shortest-path RTTs for every city pair are computed
 with source-batched Dijkstra: pairs are grouped by source city, one
 single-source run serves every pair sharing that source. This is the
-workhorse behind the paper's Section 4 (Fig. 2) analysis.
+workhorse behind the paper's Section 4 (Fig. 2) analysis;
+:func:`compute_rtt_series_multi` is its one sweep entry point.
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from repro.constants import SPEED_OF_LIGHT
+from repro.core.parallel import FaultPolicy, map_snapshot_rows
 from repro.core.scenario import Scenario
 from repro.obs import span
 from repro.flows.traffic import CityPair, pair_index
+from repro.integrity.guards import check_graph, check_rtt_series, strict_enabled
 from repro.network.graph import ConnectivityMode, SnapshotGraph
 from repro.network.paths import Path, extract_path
 
 __all__ = [
     "RttSeries",
-    "compute_rtt_series",
     "compute_rtt_series_multi",
     "pair_path_at",
     "pair_paths_on_graph",
@@ -80,10 +82,8 @@ def _pair_rtts_on_graph(graph: SnapshotGraph, pairs: list[CityPair]) -> np.ndarr
     return np.where(np.isfinite(dist_m), 2e3 * dist_m / SPEED_OF_LIGHT, np.inf)
 
 
-def _rtt_snapshot_row(scenario, time_s, mode) -> np.ndarray:
-    """Serial RTT evaluator: one snapshot's RTT row, strict-checked."""
-    from repro.integrity.guards import check_graph, strict_enabled
-
+def _rtt_row(scenario, time_s, mode) -> np.ndarray:
+    """The RTT evaluator: one snapshot's RTT row, strict-checked."""
     graph = scenario.graph_at(float(time_s), mode)
     if strict_enabled():
         check_graph(graph, source=f"graph[t={float(time_s):g}s]")
@@ -95,35 +95,43 @@ def compute_rtt_series_multi(
     modes,
     progress=None,
     checkpoints=None,
+    *,
+    processes: int = 1,
+    policy: FaultPolicy | None = None,
+    fault_hook=None,
 ) -> "dict[ConnectivityMode, RttSeries]":
-    """RTTs of every scenario pair across every snapshot, for several modes.
+    """RTTs of every scenario pair across every snapshot, for each mode.
 
-    A thin RTT evaluator over the generic snapshot map
-    (:func:`repro.core.parallel.map_snapshot_rows_serial`), whose loop
-    is time-outer, mode-inner: every requested mode of one snapshot
-    assembles from the same cached geometry frame before the sweep moves
-    to the next time, so a BP + hybrid comparison pays for satellite
-    propagation and KD-tree visibility queries exactly once per snapshot
-    — regardless of the engine's frame-cache depth.
+    The RTT evaluator over the snapshot map
+    (:func:`repro.core.parallel.map_snapshot_rows`); a single mode is
+    ``compute_rtt_series_multi(scenario, [mode])[mode]``. In-process
+    (the default, ``processes=1``) the sweep is time-outer, mode-inner:
+    every requested mode of one snapshot assembles from the same cached
+    geometry frame before the sweep moves to the next time, so a BP +
+    hybrid comparison pays for satellite propagation and KD-tree
+    visibility queries once per snapshot. ``processes > 1`` fans the
+    snapshots out over a fault-tolerant worker pool (``policy`` and the
+    ``fault_hook`` test seam as documented there) with bit-identical
+    results.
 
-    ``progress`` (optional) is called as ``progress(i, total)`` after
-    each snapshot (all modes of it). ``checkpoints`` (optional) maps
-    modes to :class:`repro.core.checkpoint.RttCheckpoint` instances;
-    modes without an entry fall back to the ambient checkpoint root
-    when one is active.
+    ``progress`` (optional) is called as ``progress(done, total)`` as
+    snapshots (all modes of them) complete. ``checkpoints`` (optional)
+    maps modes to :class:`repro.core.checkpoint.SnapshotCheckpoint`
+    instances; modes without an entry fall back to the ambient
+    checkpoint root when one is active, so a sweep resumes from its
+    verified shards and persists each new row as it lands.
     """
-    # Lazy import: parallel imports this module at load time.
-    from repro.core.parallel import map_snapshot_rows_serial
-    from repro.integrity.guards import check_rtt_series, strict_enabled
-
     modes = list(modes)
-    rows = map_snapshot_rows_serial(
+    rows = map_snapshot_rows(
         scenario,
         modes,
-        _rtt_snapshot_row,
+        _rtt_row,
         row_len=len(scenario.pairs),
+        processes=processes,
         checkpoints=checkpoints,
+        policy=policy,
         progress=progress,
+        fault_hook=fault_hook,
     )
     series = {
         mode: RttSeries(mode=mode, times_s=scenario.times_s, rtt_ms=rows[mode])
@@ -133,34 +141,6 @@ def compute_rtt_series_multi(
         for mode in modes:
             check_rtt_series(series[mode], scenario.pairs, source=f"rtt[{mode.value}]")
     return series
-
-
-def compute_rtt_series(
-    scenario: Scenario,
-    mode: ConnectivityMode,
-    progress=None,
-    checkpoint=None,
-) -> RttSeries:
-    """RTTs of every scenario pair across every snapshot.
-
-    Single-mode wrapper over :func:`compute_rtt_series_multi` (which
-    shares cached geometry frames when sweeping several modes at once).
-
-    ``progress`` (optional) is called as ``progress(i, total)`` after each
-    snapshot — long full-scale runs want a heartbeat.
-
-    ``checkpoint`` (an :class:`repro.core.checkpoint.RttCheckpoint`, or
-    the ambient checkpoint root when one is active) makes the sweep
-    resumable: already-checkpointed snapshots are loaded from disk, and
-    each newly computed row is persisted the moment it completes.
-    """
-    series = compute_rtt_series_multi(
-        scenario,
-        [mode],
-        progress=progress,
-        checkpoints={mode: checkpoint} if checkpoint is not None else None,
-    )
-    return series[mode]
 
 
 def pair_paths_on_graph(

@@ -12,8 +12,8 @@ non-zero.
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import RttCheckpoint
-from repro.core.pipeline import compute_rtt_series
+from repro.core.checkpoint import SnapshotCheckpoint
+from repro.core.pipeline import compute_rtt_series_multi
 from repro.faults import (
     IO_FAULT_KINDS,
     IoFaultSpec,
@@ -30,11 +30,11 @@ MODE = ConnectivityMode.BP_ONLY
 @pytest.fixture(scope="module")
 def clean_series(tiny_scenario):
     """The ground truth: one un-faulted, un-checkpointed sweep."""
-    return compute_rtt_series(tiny_scenario, MODE)
+    return compute_rtt_series_multi(tiny_scenario, [MODE])[MODE]
 
 
-def _open_checkpoint(tiny_scenario, directory) -> RttCheckpoint:
-    return RttCheckpoint.open(
+def _open_checkpoint(tiny_scenario, directory) -> SnapshotCheckpoint:
+    return SnapshotCheckpoint.open(
         directory, MODE, tiny_scenario.times_s, len(tiny_scenario.pairs)
     )
 
@@ -73,7 +73,10 @@ def _sweep_through_fault(tiny_scenario, directory, spec):
     """Run a checkpointed sweep with ``spec`` armed; return the series."""
     ck = _open_checkpoint(tiny_scenario, directory)
     with io_fault_injection(spec):
-        return compute_rtt_series(tiny_scenario, MODE, checkpoint=ck), ck
+        series = compute_rtt_series_multi(
+            tiny_scenario, [MODE], checkpoints={MODE: ck}
+        )[MODE]
+    return series, ck
 
 
 @pytest.mark.parametrize("kind", IO_FAULT_KINDS)
@@ -96,7 +99,9 @@ def test_sweep_survives_and_heals_byte_identically(
     # Resume on healthy storage: verification quarantines the damage and
     # the recompute converges byte-identically.
     ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
-    healed = compute_rtt_series(tiny_scenario, MODE, checkpoint=ck)
+    healed = compute_rtt_series_multi(
+        tiny_scenario, [MODE], checkpoints={MODE: ck}
+    )[MODE]
     assert healed.rtt_ms.tobytes() == clean_series.rtt_ms.tobytes()
     assert ck.is_complete()
 
@@ -141,14 +146,12 @@ def test_disk_full_degrades_gracefully(tiny_scenario, tmp_path, clean_series):
 def test_disk_full_in_parallel_sweep_degrades_gracefully(
     tiny_scenario, tmp_path, clean_series
 ):
-    from repro.core.parallel import compute_rtt_series_parallel
-
     ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
     spec = IoFaultSpec(kind="disk_full", pattern="snap_*.npz")
     with io_fault_injection(spec):
-        series = compute_rtt_series_parallel(
-            tiny_scenario, MODE, processes=2, checkpoint=ck
-        )
+        series = compute_rtt_series_multi(
+            tiny_scenario, [MODE], processes=2, checkpoints={MODE: ck}
+        )[MODE]
     assert series.rtt_ms.tobytes() == clean_series.rtt_ms.tobytes()
     assert len(ck.completed_indices()) == 2  # one store dropped, rest landed
 
@@ -156,7 +159,7 @@ def test_disk_full_in_parallel_sweep_degrades_gracefully(
 class TestVerifyCli:
     def _checkpointed_tree(self, tiny_scenario, tmp_path):
         ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
-        compute_rtt_series(tiny_scenario, MODE, checkpoint=ck)
+        compute_rtt_series_multi(tiny_scenario, [MODE], checkpoints={MODE: ck})
         return ck
 
     def test_clean_tree_passes(self, tiny_scenario, tmp_path, capsys):
@@ -194,5 +197,5 @@ class TestVerifyCli:
         # Heal: resume quarantines + recomputes; the audit then passes
         # (quarantine contents are deliberately out of scope).
         ck2 = _open_checkpoint(tiny_scenario, tmp_path / "ck")
-        compute_rtt_series(tiny_scenario, MODE, checkpoint=ck2)
+        compute_rtt_series_multi(tiny_scenario, [MODE], checkpoints={MODE: ck2})
         assert main(["verify", str(tmp_path)]) == 0

@@ -11,16 +11,18 @@ from hypothesis import strategies as st
 import repro.core.pipeline as pipeline
 from repro.core.checkpoint import (
     CheckpointMismatchError,
-    RttCheckpoint,
+    SnapshotCheckpoint,
     active_checkpoint_root,
     atomic_write_bytes,
     checkpoint_for,
     checkpoint_root,
     scenario_fingerprint,
 )
-from repro.core.parallel import FaultPolicy, SweepError, compute_rtt_series_parallel
-from repro.core.pipeline import compute_rtt_series
+from repro.core.parallel import FaultPolicy, SweepError
+from repro.core.pipeline import compute_rtt_series_multi
+from repro.flows.throughput import throughput_series_gbps
 from repro.network.graph import ConnectivityMode
+from repro.obs import observe
 
 
 @pytest.fixture()
@@ -49,7 +51,7 @@ class TestAtomicWrite:
 
 class TestRttCheckpoint:
     def test_store_load_roundtrip(self, tmp_path, times):
-        ck = RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
+        ck = SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
         row = np.array([10.0, np.inf, 12.5, 99.0])
         ck.store_snapshot(1, row)
         np.testing.assert_array_equal(ck.load_snapshot(1), row)
@@ -57,13 +59,13 @@ class TestRttCheckpoint:
         assert not ck.is_complete()
 
     def test_shards_written_atomically(self, tmp_path, times):
-        ck = RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 2)
+        ck = SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 2)
         ck.store_snapshot(0, np.array([1.0, 2.0]))
         names = sorted(p.name for p in (tmp_path / "ck").iterdir())
         assert names == ["manifest.json", "snap_00000.npz"]
 
     def test_assemble_complete(self, tmp_path, times):
-        ck = RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.HYBRID, times, 2)
+        ck = SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.HYBRID, times, 2)
         for i in range(3):
             ck.store_snapshot(i, np.array([float(i), float(10 * i)]))
         series = ck.assemble()
@@ -71,30 +73,30 @@ class TestRttCheckpoint:
         np.testing.assert_array_equal(series.rtt_ms[:, 2], [2.0, 20.0])
 
     def test_assemble_incomplete_raises(self, tmp_path, times):
-        ck = RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.HYBRID, times, 2)
+        ck = SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.HYBRID, times, 2)
         ck.store_snapshot(0, np.array([1.0, 2.0]))
         with pytest.raises(CheckpointMismatchError, match="missing snapshots"):
             ck.assemble()
 
     def test_wrong_shape_rejected(self, tmp_path, times):
-        ck = RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
+        ck = SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
         with pytest.raises(ValueError, match="shape"):
             ck.store_snapshot(0, np.array([1.0, 2.0]))
 
     def test_reopen_validates_num_pairs(self, tmp_path, times):
-        RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
+        SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
         with pytest.raises(CheckpointMismatchError, match="num_pairs"):
-            RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 5)
+            SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 5)
 
     def test_reopen_validates_mode(self, tmp_path, times):
-        RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
+        SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
         with pytest.raises(CheckpointMismatchError, match="mode"):
-            RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.HYBRID, times, 4)
+            SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.HYBRID, times, 4)
 
     def test_reopen_validates_times(self, tmp_path, times):
-        RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
+        SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
         with pytest.raises(CheckpointMismatchError, match="times_s"):
-            RttCheckpoint.open(
+            SnapshotCheckpoint.open(
                 tmp_path / "ck", ConnectivityMode.BP_ONLY, times + 1.0, 4
             )
 
@@ -102,7 +104,7 @@ class TestRttCheckpoint:
         (tmp_path / "ck").mkdir()
         (tmp_path / "ck" / "manifest.json").write_text("{not json")
         with pytest.raises(CheckpointMismatchError, match="unreadable"):
-            RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
+            SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
 
 
 class TestFingerprint:
@@ -161,19 +163,19 @@ class TestResume:
         self, tiny_scenario, tmp_path, monkeypatch
     ):
         mode = ConnectivityMode.BP_ONLY
-        baseline = compute_rtt_series(tiny_scenario, mode)
-        ck = RttCheckpoint.open(
+        baseline = compute_rtt_series_multi(tiny_scenario, [mode])[mode]
+        ck = SnapshotCheckpoint.open(
             tmp_path / "ck", mode, tiny_scenario.times_s, len(tiny_scenario.pairs)
         )
 
         # "Kill" the sweep: workers crash on every snapshot but the first,
         # retries exhausted, no serial rescue — exactly a mid-run abort.
         with pytest.raises(SweepError) as excinfo:
-            compute_rtt_series_parallel(
+            compute_rtt_series_multi(
                 tiny_scenario,
-                mode,
+                [mode],
                 processes=2,
-                checkpoint=ck,
+                checkpoints={mode: ck},
                 fault_hook=_crash_after_first_snapshot,
                 policy=FaultPolicy(
                     max_attempts=1, backoff_base_s=0.0, serial_fallback=False
@@ -192,7 +194,9 @@ class TestResume:
             return real(graph, pairs)
 
         monkeypatch.setattr(pipeline, "_pair_rtts_on_graph", counting)
-        resumed = compute_rtt_series(tiny_scenario, mode, checkpoint=ck)
+        resumed = compute_rtt_series_multi(
+            tiny_scenario, [mode], checkpoints={mode: ck}
+        )[mode]
 
         expected_times = [float(t) for t in tiny_scenario.times_s[1:]]
         assert computed_times == expected_times  # snapshot 0 never recomputed
@@ -204,23 +208,25 @@ class TestResume:
         self, tiny_scenario, tmp_path
     ):
         mode = ConnectivityMode.BP_ONLY
-        ck = RttCheckpoint.open(
+        ck = SnapshotCheckpoint.open(
             tmp_path / "ck", mode, tiny_scenario.times_s, len(tiny_scenario.pairs)
         )
-        first = compute_rtt_series(tiny_scenario, mode, checkpoint=ck)
+        first = compute_rtt_series_multi(
+            tiny_scenario, [mode], checkpoints={mode: ck}
+        )[mode]
         assert ck.is_complete()
 
         def explode(index, time_s):  # pragma: no cover - must never run
             raise AssertionError("resumed run recomputed a checkpointed snapshot")
 
-        resumed = compute_rtt_series_parallel(
+        resumed = compute_rtt_series_multi(
             tiny_scenario,
-            mode,
+            [mode],
             processes=2,
-            checkpoint=ck,
+            checkpoints={mode: ck},
             fault_hook=explode,
             policy=FaultPolicy(max_attempts=1, serial_fallback=False),
-        )
+        )[mode]
         np.testing.assert_array_equal(resumed.rtt_ms, first.rtt_ms)
 
     def test_serial_sweep_checkpoints_under_ambient_root(
@@ -228,31 +234,63 @@ class TestResume:
     ):
         mode = ConnectivityMode.BP_ONLY
         with checkpoint_root(tmp_path):
-            series = compute_rtt_series(tiny_scenario, mode)
+            series = compute_rtt_series_multi(tiny_scenario, [mode])[mode]
             ck = checkpoint_for(tmp_path, tiny_scenario, mode)
             assert ck.is_complete()
             np.testing.assert_array_equal(ck.assemble().rtt_ms, series.rtt_ms)
 
     def test_progress_reports_resumed_rows(self, tiny_scenario, tmp_path):
         mode = ConnectivityMode.BP_ONLY
-        ck = RttCheckpoint.open(
+        ck = SnapshotCheckpoint.open(
             tmp_path / "ck", mode, tiny_scenario.times_s, len(tiny_scenario.pairs)
         )
-        compute_rtt_series(tiny_scenario, mode, checkpoint=ck)
+        compute_rtt_series_multi(tiny_scenario, [mode], checkpoints={mode: ck})
         ticks = []
-        compute_rtt_series_parallel(
+        compute_rtt_series_multi(
             tiny_scenario,
-            mode,
+            [mode],
             processes=2,
-            checkpoint=ck,
+            checkpoints={mode: ck},
             progress=lambda done, total: ticks.append((done, total)),
         )
         assert ticks == [(3, 3)]
 
+    @pytest.mark.parametrize("sweep", ["rtt", "throughput"])
+    def test_partial_resume_verifies_each_shard_once(
+        self, sweep, tiny_scenario, tmp_path
+    ):
+        """Resume verifies every surviving shard exactly once.
+
+        One shard of a 3-snapshot sweep is lost; the resume must verify
+        and serve the two survivors (no second verification pass) and
+        recompute only the missing snapshot.
+        """
+        mode = ConnectivityMode.HYBRID
+
+        def run():
+            if sweep == "rtt":
+                compute_rtt_series_multi(tiny_scenario, [mode])
+            else:
+                throughput_series_gbps(tiny_scenario, mode, k=1)
+
+        with checkpoint_root(tmp_path):
+            run()
+            (ck_dir,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+            shards = sorted(ck_dir.glob("snap_*.npz"))
+            assert len(shards) == len(tiny_scenario.times_s) == 3
+            shards[1].unlink()
+            with observe() as registry:
+                run()
+        counters = registry.snapshot()["counters"]
+        survivors = len(shards) - 1
+        assert counters["integrity.shards_verified"] == survivors
+        assert counters["checkpoint.hits"] == survivors
+        assert counters["checkpoint.misses"] == 1
+
 
 def _filled_checkpoint(directory, times, num_pairs=3):
     """A complete checkpoint whose row for index i is a known function."""
-    ck = RttCheckpoint.open(
+    ck = SnapshotCheckpoint.open(
         directory, ConnectivityMode.BP_ONLY, times, num_pairs
     )
     for i in range(len(times)):
@@ -265,7 +303,7 @@ def _row(index: int, num_pairs: int) -> np.ndarray:
     return np.arange(num_pairs, dtype=float) + 100.0 * index + 1.0
 
 
-def _rerecord_digest(ck: RttCheckpoint, index: int) -> None:
+def _rerecord_digest(ck: SnapshotCheckpoint, index: int) -> None:
     """Update the manifest digest to match the shard's current bytes.
 
     Lets a test corrupt a *payload* without tripping the digest check,
@@ -364,21 +402,21 @@ class TestCorruptShards:
         assert ck.is_complete()
 
     def test_fresh_quarantines_mismatched_checkpoint(self, tmp_path, times):
-        RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
+        SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
         with pytest.raises(CheckpointMismatchError, match="--fresh"):
-            RttCheckpoint.open(
+            SnapshotCheckpoint.open(
                 tmp_path / "ck", ConnectivityMode.HYBRID, times, 4
             )
-        ck = RttCheckpoint.open(
+        ck = SnapshotCheckpoint.open(
             tmp_path / "ck", ConnectivityMode.HYBRID, times, 4, fresh=True
         )
         assert ck.completed_indices() == set()
         assert (tmp_path / "quarantine" / "ck").is_dir()
 
     def test_mismatch_error_names_both_fingerprints(self, tmp_path, times):
-        RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
+        SnapshotCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
         with pytest.raises(CheckpointMismatchError) as excinfo:
-            RttCheckpoint.open(
+            SnapshotCheckpoint.open(
                 tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 5
             )
         message = str(excinfo.value)

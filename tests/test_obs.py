@@ -264,12 +264,11 @@ class TestThreadSafety:
 
 class TestCrossProcessAggregation:
     def test_parallel_sweep_ships_worker_spans_back(self, tiny_scenario):
-        from repro.core.parallel import compute_rtt_series_parallel
+        from repro.core.pipeline import compute_rtt_series_multi
 
+        bp = ConnectivityMode.BP_ONLY
         with observe() as registry:
-            result = compute_rtt_series_parallel(
-                tiny_scenario, ConnectivityMode.BP_ONLY, processes=2
-            )
+            result = compute_rtt_series_multi(tiny_scenario, [bp], processes=2)[bp]
         assert result.rtt_ms.shape == (
             len(tiny_scenario.pairs),
             len(tiny_scenario.times_s),
@@ -281,12 +280,11 @@ class TestCrossProcessAggregation:
         assert "snapshot/dijkstra" in snap["spans"]
 
     def test_parallel_sweep_without_observe_collects_nothing(self, tiny_scenario):
-        from repro.core.parallel import compute_rtt_series_parallel
+        from repro.core.pipeline import compute_rtt_series_multi
 
+        bp = ConnectivityMode.BP_ONLY
         assert active_registry() is None
-        result = compute_rtt_series_parallel(
-            tiny_scenario, ConnectivityMode.BP_ONLY, processes=2
-        )
+        result = compute_rtt_series_multi(tiny_scenario, [bp], processes=2)[bp]
         assert result.rtt_ms.shape[0] == len(tiny_scenario.pairs)
         assert active_registry() is None
 

@@ -1,14 +1,13 @@
-"""Tests for the generic snapshot-map engine.
+"""Tests for the snapshot-map engine.
 
-:func:`repro.core.parallel.map_snapshot_rows_serial` /
-:func:`map_snapshot_rows_parallel` are the single sweep engine behind
-the RTT series, the throughput series, and the fig4/fig5/disconnected
-experiments. This module locks the engine's own contract — serial and
-parallel execution produce bit-identical rows, labelled checkpoints
-isolate and resume sweeps, faults are survived — plus the straggler
-property the ``concurrent.futures.wait`` rewrite bought: one timeout
-window covers *all* in-flight hung workers instead of stacking a window
-per future.
+:func:`repro.core.parallel.map_snapshot_rows` is the single sweep engine
+behind the RTT series, the throughput series, and the
+fig4/fig5/disconnected experiments. This module locks the engine's own
+contract — in-process (``processes=1``) and worker-pool execution
+produce bit-identical rows, labelled checkpoints isolate and resume
+sweeps, faults are survived — plus the straggler property the
+``concurrent.futures.wait`` rewrite bought: one timeout window covers
+*all* in-flight hung workers instead of stacking a window per future.
 
 The experiment-facing evaluators (throughput, component stats, the
 fig4/fig5 rows) are exercised through the same engine here, so a change
@@ -27,11 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import checkpoint_root
-from repro.core.parallel import (
-    FaultPolicy,
-    map_snapshot_rows_parallel,
-    map_snapshot_rows_serial,
-)
+from repro.core.parallel import FaultPolicy, map_snapshot_rows
 from repro.experiments.disconnected import _component_row
 from repro.experiments.fig4_throughput import _matrix_snapshot_row
 from repro.experiments.fig5_isl_capacity import RATIOS, _capacity_sweep_row
@@ -110,7 +105,7 @@ def _expected_poly(times):
 
 class TestSerialMap:
     def test_rows_are_columns_per_mode(self, tiny_scenario):
-        rows = map_snapshot_rows_serial(
+        rows = map_snapshot_rows(
             tiny_scenario, MODES, _poly_row, row_len=3, times_s=TIMES
         )
         expected = _expected_poly(TIMES)
@@ -119,7 +114,7 @@ class TestSerialMap:
             np.testing.assert_array_equal(rows[mode], expected[mode])
 
     def test_per_mode_row_widths(self, tiny_scenario):
-        rows = map_snapshot_rows_serial(
+        rows = map_snapshot_rows(
             tiny_scenario,
             MODES,
             _ragged_row,
@@ -133,13 +128,13 @@ class TestSerialMap:
 
     def test_wrong_row_shape_rejected(self, tiny_scenario):
         with pytest.raises(ValueError, match="expected"):
-            map_snapshot_rows_serial(
+            map_snapshot_rows(
                 tiny_scenario, [BP], _wrong_width_row, row_len=3, times_s=TIMES
             )
 
     def test_progress_reports_each_snapshot(self, tiny_scenario):
         calls = []
-        map_snapshot_rows_serial(
+        map_snapshot_rows(
             tiny_scenario,
             [BP],
             _poly_row,
@@ -152,10 +147,10 @@ class TestSerialMap:
 
 class TestParallelMatchesSerial:
     def test_bit_identical_rows(self, tiny_scenario):
-        serial = map_snapshot_rows_serial(
+        serial = map_snapshot_rows(
             tiny_scenario, MODES, _poly_row, row_len=3, times_s=TIMES
         )
-        parallel = map_snapshot_rows_parallel(
+        parallel = map_snapshot_rows(
             tiny_scenario,
             MODES,
             _poly_row,
@@ -167,7 +162,7 @@ class TestParallelMatchesSerial:
             np.testing.assert_array_equal(parallel[mode], serial[mode])
 
     def test_fault_hook_crashes_recovered(self, tiny_scenario, flag_dir):
-        rows = map_snapshot_rows_parallel(
+        rows = map_snapshot_rows(
             tiny_scenario,
             MODES,
             _poly_row,
@@ -200,7 +195,7 @@ class TestParallelMatchesSerial:
         """
         start = time.monotonic()
         with observe() as registry:
-            rows = map_snapshot_rows_parallel(
+            rows = map_snapshot_rows(
                 tiny_scenario,
                 MODES,
                 _poly_row,
@@ -228,13 +223,13 @@ class TestCheckpointResume:
         self, tiny_scenario, tmp_path
     ):
         with checkpoint_root(tmp_path):
-            first = map_snapshot_rows_serial(
+            first = map_snapshot_rows(
                 tiny_scenario, MODES, _poly_row, row_len=3, times_s=TIMES
             )
             # Resume with an evaluator that *cannot* run: every row must
             # come back verified from disk.
             with observe() as registry:
-                resumed = map_snapshot_rows_serial(
+                resumed = map_snapshot_rows(
                     tiny_scenario, MODES, _explode, row_len=3, times_s=TIMES
                 )
         counters = registry.snapshot()["counters"]
@@ -245,10 +240,10 @@ class TestCheckpointResume:
 
     def test_parallel_resume_from_serial_shards(self, tiny_scenario, tmp_path):
         with checkpoint_root(tmp_path):
-            first = map_snapshot_rows_serial(
+            first = map_snapshot_rows(
                 tiny_scenario, MODES, _poly_row, row_len=3, times_s=TIMES
             )
-            resumed = map_snapshot_rows_parallel(
+            resumed = map_snapshot_rows(
                 tiny_scenario,
                 MODES,
                 _explode,
@@ -261,7 +256,7 @@ class TestCheckpointResume:
 
     def test_labels_isolate_sweeps(self, tiny_scenario, tmp_path):
         with checkpoint_root(tmp_path):
-            rows_a = map_snapshot_rows_serial(
+            rows_a = map_snapshot_rows(
                 tiny_scenario,
                 [BP],
                 _poly_row,
@@ -269,7 +264,7 @@ class TestCheckpointResume:
                 times_s=TIMES,
                 label="sweep a!",
             )
-            rows_b = map_snapshot_rows_serial(
+            rows_b = map_snapshot_rows(
                 tiny_scenario,
                 [BP],
                 _other_row,
@@ -278,7 +273,7 @@ class TestCheckpointResume:
                 label="sweep-b",
             )
             # Each label resumes its own shards — never the other's.
-            resumed_a = map_snapshot_rows_serial(
+            resumed_a = map_snapshot_rows(
                 tiny_scenario,
                 [BP],
                 _explode,
@@ -286,7 +281,7 @@ class TestCheckpointResume:
                 times_s=TIMES,
                 label="sweep a!",
             )
-            resumed_b = map_snapshot_rows_serial(
+            resumed_b = map_snapshot_rows(
                 tiny_scenario,
                 [BP],
                 _explode,
@@ -307,10 +302,10 @@ class TestExperimentEvaluators:
     """The experiment rows, serial vs parallel through the same engine."""
 
     def test_disconnected_rows_identical(self, tiny_scenario):
-        serial = map_snapshot_rows_serial(
+        serial = map_snapshot_rows(
             tiny_scenario, MODES, _component_row, row_len=2
         )
-        parallel = map_snapshot_rows_parallel(
+        parallel = map_snapshot_rows(
             tiny_scenario, MODES, _component_row, row_len=2, processes=2
         )
         for mode in MODES:
@@ -322,10 +317,10 @@ class TestExperimentEvaluators:
         evaluator = functools.partial(
             _matrix_snapshot_row, ks=(1, 4), capacities=None
         )
-        serial = map_snapshot_rows_serial(
+        serial = map_snapshot_rows(
             tiny_scenario, MODES, evaluator, row_len=2
         )
-        parallel = map_snapshot_rows_parallel(
+        parallel = map_snapshot_rows(
             tiny_scenario, MODES, evaluator, row_len=2, processes=2
         )
         for mode in MODES:
@@ -335,10 +330,10 @@ class TestExperimentEvaluators:
         evaluator = functools.partial(_capacity_sweep_row, k=2, ratios=RATIOS)
         widths = {BP: 1, HYBRID: len(RATIOS)}
         times = tiny_scenario.times_s[:2]
-        serial = map_snapshot_rows_serial(
+        serial = map_snapshot_rows(
             tiny_scenario, MODES, evaluator, row_len=widths, times_s=times
         )
-        parallel = map_snapshot_rows_parallel(
+        parallel = map_snapshot_rows(
             tiny_scenario,
             MODES,
             evaluator,
