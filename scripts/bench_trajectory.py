@@ -54,6 +54,11 @@ DEFAULT_EXPERIMENTS = ("fig2", "fig4")
 #: Timings below this are dominated by noise; skip them when comparing.
 MIN_COMPARABLE_S = 0.05
 
+#: Smoke gate: largest share of fig4's disjoint-round searches that may
+#: need an unbounded retry (smoke measures ~5% BP, ~1% hybrid). More
+#: means the search radius no longer fits the graphs' path stretch.
+MAX_BOUNDED_RETRY_RATIO = 0.10
+
 
 def smoke_scale() -> ScenarioScale:
     """CI-sized configuration: seconds per experiment, still end-to-end."""
@@ -348,6 +353,18 @@ def main(argv: list[str] | None = None) -> int:
                     "ROUTING FAST-PATH REGRESSION: fig4 recorded no batched "
                     "source Dijkstras; round 1 should be source-batched "
                     f"(counters: { {k: v for k, v in counters.items() if k.startswith('routing.')} })"
+                )
+                return 1
+            # CI gate: rounds 2..k search a bounded radius and retry
+            # unbounded on a miss; frequent retries cost more than the
+            # bound saves.
+            searches = counters.get("routing.pair_dijkstras", 0)
+            retries = counters.get("routing.bounded_retries", 0)
+            if searches and retries / searches > MAX_BOUNDED_RETRY_RATIO:
+                print(
+                    "ROUTING FAST-PATH REGRESSION: fig4 retried "
+                    f"{retries} of {searches} bounded disjoint-round searches "
+                    f"(more than {MAX_BOUNDED_RETRY_RATIO:.0%})"
                 )
                 return 1
 

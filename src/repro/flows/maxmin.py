@@ -14,9 +14,18 @@ Properties (all covered by property-based tests):
 * max-min fairness — a flow's rate can only be below another's if it
   shares a bottleneck with flows of no higher rate.
 
-The implementation is vectorized over links: each round computes the
-tightest link in O(E) numpy work, and the number of rounds is bounded by
-the number of distinct bottleneck links.
+The implementation is vectorized over links and works only on the links
+some flow uses: flow edge ids are mapped once onto that compact set, so
+each round finds the tightest link in O(used links) numpy work, not
+O(E) over the whole graph (a paper-scale snapshot has ~566k links, a
+few thousand of which carry traffic). The flows crossing a saturated
+link come from a link -> flow pointer (incidences grouped by link), not
+from a mask over every incidence. Links no flow uses keep their full
+capacity — their active weight is exactly 0, so progressive filling
+never changes them — and get a load of exactly 0.0 when the loads are
+scattered back into the full table, so adding unused links to the
+capacity table leaves rates, loads and round counts bit-identical. The
+number of rounds is bounded by the number of distinct bottleneck links.
 """
 
 from __future__ import annotations
@@ -88,30 +97,32 @@ def max_min_fair_allocation(
         bad = int(np.flatnonzero(flow_lens == 0)[0])
         raise ValueError(f"flow {bad} traverses no links")
 
-    # Flow -> edges incidence in CSR style (entries in flow order), plus
-    # the edge-sorted view used to find the flows on a saturated link.
+    # Flow -> edges incidence in CSR style (entries in flow order), on
+    # the compact set of links some flow uses (``link`` indexes
+    # ``used_ids``), plus the link -> flows pointer used to find the
+    # flows on a saturated link.
     flow_ids = np.repeat(np.arange(n_flows, dtype=np.int64), flow_lens)
     flow_ptr = np.concatenate([[0], np.cumsum(flow_lens)])
     edge_ids = np.concatenate([np.asarray(e, dtype=np.int64) for e in flow_edges])
     if len(edge_ids) and (edge_ids.min() < 0 or edge_ids.max() >= n_edges):
         raise ValueError("flow references an edge id outside the capacity table")
-    order = np.argsort(edge_ids, kind="stable")
-    sorted_edges = edge_ids[order]
-    sorted_flows = flow_ids[order]
+    used_ids, link = np.unique(edge_ids, return_inverse=True)
+    n_links = len(used_ids)
+    link_flows = flow_ids[np.argsort(link, kind="stable")]
+    link_ptr = np.concatenate([[0], np.cumsum(np.bincount(link, minlength=n_links))])
 
     active = np.ones(n_flows, dtype=bool)
     rates = np.zeros(n_flows)
-    remaining = capacities.astype(float).copy()
+    link_capacities = capacities[used_ids]
+    remaining = link_capacities.copy()
     # Per-link sum of active flows' weights ("counts" in the unweighted
     # algorithm); rates grow by weight_i * increment per round.
-    incidence_weights = weights[flow_ids]
-    counts = np.zeros(n_edges)
-    np.add.at(counts, edge_ids, incidence_weights)
+    counts = np.bincount(link, weights=weights[flow_ids], minlength=n_links)
 
     rounds = 0
-    saturation_slack = _EPS * capacities
-    headroom = np.empty(n_edges)
-    scratch = np.empty(n_edges)
+    saturation_slack = _EPS * link_capacities
+    headroom = np.empty(n_links)
+    scratch = np.empty(n_links)
     while active.any():
         used = counts > _EPS
         if not used.any():
@@ -137,25 +148,30 @@ def max_min_fair_allocation(
         # Freeze, vectorized: gather the (still-active) flows crossing
         # any saturated link, then retire their weight from every link
         # they traverse with one weighted bincount.
-        candidates = sorted_flows[saturated[sorted_edges]]
+        candidates = link_flows[_ranges(link_ptr, np.flatnonzero(saturated))]
         frozen = np.unique(candidates[active[candidates]])
         if frozen.size:
             active[frozen] = False
             lens = flow_lens[frozen]
-            offsets = np.arange(int(lens.sum())) - np.repeat(
-                np.cumsum(lens) - lens, lens
-            )
-            positions = np.repeat(flow_ptr[frozen], lens) + offsets
             counts -= np.bincount(
-                edge_ids[positions],
+                link[_ranges(flow_ptr, frozen)],
                 weights=np.repeat(weights[frozen], lens),
-                minlength=n_edges,
+                minlength=n_links,
             )
 
-    loads = capacities - remaining
+    # Unused links keep their capacity: their load is exactly 0.0.
+    loads = np.zeros(n_edges)
+    loads[used_ids] = link_capacities - remaining
     incr("maxmin.bottleneck_rounds", rounds)
     if strict_enabled():
         # Feasibility is the allocator's contract; under strict mode we
         # re-assert it on every real allocation, not just in the tests.
         check_allocation(rates, loads, capacities, source="maxmin")
     return MaxMinResult(rates=rates, link_loads=loads, bottleneck_rounds=rounds)
+
+
+def _ranges(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Concatenated positions ``ptr[r]:ptr[r + 1]`` of every row in ``rows``."""
+    lens = ptr[rows + 1] - ptr[rows]
+    offsets = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens, lens)
+    return np.repeat(ptr[rows], lens) + offsets

@@ -15,6 +15,25 @@ slots to delete come from vectorized lookups cached on the graph
 (:meth:`SnapshotGraph.edge_ids_for_pairs` /
 :meth:`SnapshotGraph.edge_csr_positions`) instead of per-hop dict
 probes.
+
+Rounds 2..k are *radius-bounded*: round j searches only out to
+``_ROUND_BOUND`` times the length of round j-1's path (scipy's
+``limit``), and repeats the search once without a limit when the target
+is left unreached. The result is exact: a round's path is never shorter
+than the previous round's (each round searches a subgraph of the last
+one), and a target reached within the limit has its exact distance and
+predecessor chain. The bound is applied through scipy's own ``limit``
+rather than a different search (A* reweighting, tree repair) because
+exact ties are common — co-located satellites give equal-length
+alternatives — and which alternative wins depends on the search's scan
+order. A limited scipy search differs from the unlimited one only in
+the nodes it never pushes, and the differential tests pin its paths to
+the unbounded reference :func:`repro.network.paths.k_edge_disjoint_paths`.
+A retry is skipped when the bounded search provably pruned nothing
+(farthest settled node plus the longest edge within the limit), which
+is how a pair whose source is cut off fails without a second search.
+Retries are counted as ``routing.bounded_retries``;
+``routing.pair_dijkstras`` still counts one search per round.
 """
 
 from __future__ import annotations
@@ -40,6 +59,12 @@ __all__ = [
 #: (sources x nodes) distance/predecessor block a chunk materializes to
 #: a few tens of MB even on the full ~65k-node graph.
 _SOURCE_BATCH = 64
+
+#: Search radius of disjoint round j >= 2, as a multiple of round j-1's
+#: path length. Smaller radii prune more but retry more often; 1.2 was
+#: fastest on the paper graph and on the throughput-default scale, with
+#: 1-3% of searches retried.
+_ROUND_BOUND = 1.2
 
 
 @dataclass(frozen=True)
@@ -122,35 +147,34 @@ def _extra_disjoint_paths(
     k: int,
     first: Path,
     first_ids: np.ndarray,
+    max_edge_m: float,
 ) -> "list[tuple[Path, np.ndarray]]":
     """Rounds 2..k of the greedy edge-disjoint scheme, round 1 given.
 
     The matrix is modified in place (each found path's edges deleted in
     both directions) and fully restored before returning, matching
-    :func:`repro.network.paths.k_edge_disjoint_paths`.
+    :func:`repro.network.paths.k_edge_disjoint_paths`. Each search is
+    bounded by ``_ROUND_BOUND`` times the previous path's length and
+    repeated without a bound when that leaves the target unreached;
+    ``max_edge_m`` (the graph's longest edge) tells when the bounded
+    search pruned nothing, so a retry could not find the target either.
     """
     found = [(first, first_ids)]
     touched: "list[tuple[np.ndarray, np.ndarray]]" = []
-    searches = 0
+    searches = retries = 0
     try:
         positions = graph.edge_csr_positions(first_ids)
         matrix.data[positions] = np.inf
         touched.append((positions, first_ids))
         while len(found) < k:
             searches += 1
-            # csgraph.dijkstra directly, not the shortest_path wrapper:
-            # a per-call span on a sub-millisecond search is measurable
-            # overhead at this call rate; the enclosing disjoint_rounds
-            # span carries the aggregate timing. min_only skips the
-            # multi-source bookkeeping (identical dist/pred for one
-            # source) and shaves a few percent per search.
-            dist, pred, _ = csgraph.dijkstra(
-                matrix,
-                directed=True,
-                indices=[source],
-                return_predecessors=True,
-                min_only=True,
-            )
+            limit = _ROUND_BOUND * found[-1][0].length_m
+            dist, pred = _dijkstra_from(matrix, source, limit)
+            if not np.isfinite(dist[target]):
+                reach = np.max(dist, where=np.isfinite(dist), initial=0.0)
+                if reach + max_edge_m > limit:
+                    retries += 1
+                    dist, pred = _dijkstra_from(matrix, source, np.inf)
             nodes = extract_path(pred, source, target)
             if nodes is None:
                 break
@@ -166,7 +190,29 @@ def _extra_disjoint_paths(
             matrix.data[positions] = np.repeat(graph.edge_dist_m[ids], 2)
         if searches:
             incr("routing.pair_dijkstras", searches)
+        if retries:
+            incr("routing.bounded_retries", retries)
     return found
+
+
+def _dijkstra_from(matrix, source: int, limit: float):
+    """One-source ``(dist, pred)`` search out to distance ``limit``.
+
+    csgraph.dijkstra directly, not the shortest_path wrapper: a per-call
+    span on a sub-millisecond search is measurable overhead at this call
+    rate; the enclosing disjoint_rounds span carries the aggregate
+    timing. min_only skips the multi-source bookkeeping (identical
+    dist/pred for one source) and shaves a few percent per search.
+    """
+    dist, pred, _ = csgraph.dijkstra(
+        matrix,
+        directed=True,
+        indices=[source],
+        return_predecessors=True,
+        limit=limit,
+        min_only=True,
+    )
+    return dist, pred
 
 
 @traced("routing")
@@ -192,6 +238,7 @@ def route_traffic_multi_k(
     # One bounds check for the whole pair list (mirrors graph.gt_node).
     source_nodes, target_nodes = index.gt_nodes(graph.num_sats, graph.num_gts)
     matrix = graph.matrix()
+    max_edge_m = float(graph.edge_dist_m.max(initial=0.0))
 
     with span("first_round"):
         first_paths = _first_round_paths(graph, index)
@@ -225,6 +272,7 @@ def route_traffic_multi_k(
                         k,
                         first,
                         first_ids[pidx],
+                        max_edge_m,
                     )
                 for path, ids in routed:
                     subflows.append(

@@ -109,22 +109,31 @@ def pair_index(pairs: list[CityPair]) -> PairIndex:
     return _build_pair_index(tuple((p.a, p.b) for p in pairs))
 
 
-def eligible_pairs(
-    cities: tuple[City, ...],
-    min_distance_m: float = MIN_CITY_PAIR_DISTANCE_M,
-) -> list[CityPair]:
-    """Every unordered city pair separated by at least ``min_distance_m``.
+def _eligible_arrays(
+    cities: tuple[City, ...], min_distance_m: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, b, distance_m)`` arrays of every eligible pair, ``a < b``.
 
     Vectorized: the full pairwise distance matrix for 1,000 cities is a
-    million haversines, well within numpy territory.
+    million haversines, well within numpy territory. Pairs come in
+    row-major order of the upper triangle.
     """
     lats = np.array([c.lat_deg for c in cities])
     lons = np.array([c.lon_deg for c in cities])
     dists = haversine_m(lats[:, None], lons[:, None], lats[None, :], lons[None, :])
     a_idx, b_idx = np.nonzero(np.triu(dists >= min_distance_m, k=1))
+    return a_idx, b_idx, dists[a_idx, b_idx]
+
+
+def eligible_pairs(
+    cities: tuple[City, ...],
+    min_distance_m: float = MIN_CITY_PAIR_DISTANCE_M,
+) -> list[CityPair]:
+    """Every unordered city pair separated by at least ``min_distance_m``."""
+    a_idx, b_idx, dists = _eligible_arrays(cities, min_distance_m)
     return [
-        CityPair(int(a), int(b), float(dists[a, b]))
-        for a, b in zip(a_idx, b_idx)
+        CityPair(int(a), int(b), float(d))
+        for a, b, d in zip(a_idx, b_idx, dists)
     ]
 
 
@@ -148,20 +157,23 @@ def sample_city_pairs(
       matrix, concentrating load on their up-links.
 
     If fewer eligible pairs exist than requested (tiny test scenarios),
-    all of them are returned, shuffled.
+    all of them are returned, shuffled. The draw runs over indices into
+    the eligible pairs (in :func:`eligible_pairs` order), and only the
+    chosen :class:`CityPair` objects are built.
     """
-    pairs = eligible_pairs(cities, min_distance_m)
+    a_idx, b_idx, dists = _eligible_arrays(cities, min_distance_m)
     rng = np.random.default_rng(seed)
-    if num_pairs >= len(pairs):
-        order = rng.permutation(len(pairs))
-        return [pairs[i] for i in order]
-    if weighting == "uniform":
-        chosen = rng.choice(len(pairs), size=num_pairs, replace=False)
+    if num_pairs >= len(a_idx):
+        chosen = rng.permutation(len(a_idx))
+    elif weighting == "uniform":
+        chosen = rng.choice(len(a_idx), size=num_pairs, replace=False)
     elif weighting == "gravity":
         populations = np.array([c.population_k for c in cities], dtype=float)
-        weights = np.array([populations[p.a] * populations[p.b] for p in pairs])
+        weights = populations[a_idx] * populations[b_idx]
         weights = weights / weights.sum()
-        chosen = rng.choice(len(pairs), size=num_pairs, replace=False, p=weights)
+        chosen = rng.choice(len(a_idx), size=num_pairs, replace=False, p=weights)
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
-    return [pairs[i] for i in chosen]
+    return [
+        CityPair(int(a_idx[i]), int(b_idx[i]), float(dists[i])) for i in chosen
+    ]

@@ -212,6 +212,15 @@ class TestEndToEnd:
         assert code == 1
         assert "PERFORMANCE REGRESSIONS" in out
 
+    def test_bounded_retry_gate(self, bench, tmp_path, capsys, monkeypatch):
+        # A search radius below every link length retries every round.
+        from repro.flows import routing
+
+        monkeypatch.setattr(routing, "_ROUND_BOUND", 1e-3)
+        code = bench.main(["--smoke", "--out", str(tmp_path), "--repeats", "1"])
+        assert code == 1
+        assert "bounded disjoint-round searches" in capsys.readouterr().out
+
     def test_empty_baseline_skips_comparison(self, bench, tmp_path, capsys):
         # A zero-entry baseline (e.g. an interrupted earlier run) must
         # not fail the run being measured.

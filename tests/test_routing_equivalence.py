@@ -5,9 +5,11 @@ The throughput fast path rewrote two hot loops:
 * :func:`repro.flows.routing.route_traffic_multi_k` batches round 1 of
   the greedy edge-disjoint scheme by source city instead of running one
   independent :func:`repro.network.paths.k_edge_disjoint_paths` search
-  per pair;
+  per pair, and bounds the searches of rounds 2..k by a multiple of the
+  previous round's path length, retrying unbounded when that misses;
 * :func:`repro.flows.maxmin.max_min_fair_allocation` freezes saturated
-  flows with vectorized bincounts instead of per-flow loops.
+  flows with vectorized bincounts instead of per-flow loops, on the
+  compact set of links the flows use.
 
 Both are pure optimisations: their outputs must be indistinguishable
 from the straightforward reference implementations. These suites assert
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.flows import routing
 from repro.flows.maxmin import max_min_fair_allocation
 from repro.flows.routing import route_traffic, route_traffic_multi_k
 from repro.network.graph import ConnectivityMode
@@ -136,6 +139,56 @@ class TestRoutingCounterContract:
         counters = registry.snapshot()["counters"]
         # One batched sweep serves both k values.
         assert counters["routing.batched_dijkstras"] == unique_sources
+
+
+class TestBoundedRounds:
+    """Rounds 2..k search within a radius and retry unbounded on a miss.
+
+    k = 10 runs some pairs out of disjoint paths (19 of the 25 tiny
+    pairs), so the final, failing search of a pair is covered too.
+    """
+
+    @pytest.mark.parametrize("k", [4, 10])
+    @pytest.mark.parametrize("mode", list(ConnectivityMode))
+    def test_tiny_bound_retries_every_round(
+        self, tiny_scenario, mode, k, monkeypatch
+    ):
+        # A radius far below any link length leaves every target
+        # unreached, so every round falls back to the unbounded search.
+        monkeypatch.setattr(routing, "_ROUND_BOUND", 1e-3)
+        graph = tiny_scenario.graph_at(0.0, mode)
+        with observe() as registry:
+            _assert_matches_reference(graph, tiny_scenario.pairs, k=k)
+        counters = registry.snapshot()["counters"]
+        assert counters["routing.pair_dijkstras"] > 0
+        assert counters["routing.bounded_retries"] == counters[
+            "routing.pair_dijkstras"
+        ]
+
+    @pytest.mark.parametrize("bound", [0.5, 1.0, 1.2])
+    @pytest.mark.parametrize("k", [4, 10])
+    @pytest.mark.parametrize("mode", list(ConnectivityMode))
+    def test_routes_match_reference_at_any_bound(
+        self, tiny_scenario, mode, k, bound, monkeypatch
+    ):
+        monkeypatch.setattr(routing, "_ROUND_BOUND", bound)
+        graph = tiny_scenario.graph_at(0.0, mode)
+        _assert_matches_reference(graph, tiny_scenario.pairs, k=k)
+
+    @pytest.mark.parametrize("k", [4, 10])
+    @pytest.mark.parametrize("mode", list(ConnectivityMode))
+    def test_large_bound_never_retries(
+        self, tiny_scenario, mode, k, monkeypatch
+    ):
+        # A radius past the whole graph prunes nothing, so even the
+        # search that finds no further path needs no second try.
+        monkeypatch.setattr(routing, "_ROUND_BOUND", 1e3)
+        graph = tiny_scenario.graph_at(0.0, mode)
+        with observe() as registry:
+            _assert_matches_reference(graph, tiny_scenario.pairs, k=k)
+        counters = registry.snapshot()["counters"]
+        assert counters["routing.pair_dijkstras"] > 0
+        assert "routing.bounded_retries" not in counters
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +331,34 @@ class TestMaxMinMatchesLoopReference:
         for rate, edges in zip(result.rates, flow_edges):
             slack = capacities[edges] - loads[edges]
             assert slack.min() <= 1e-6 * max(capacities.max(), 1.0)
+
+    @given(problem=_flow_problems(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unused_edges_change_nothing(self, problem, data):
+        """Interleaving unused edges leaves the allocation bit-identical."""
+        flow_edges, capacities, weights = problem
+        n_edges = len(capacities)
+        extra = data.draw(st.integers(min_value=1, max_value=3 * n_edges))
+        # New position of each original edge in a table of n_edges + extra.
+        position = np.sort(
+            data.draw(st.permutations(range(n_edges + extra)))[:n_edges]
+        )
+        position = np.asarray(position, dtype=np.int64)
+        unused = np.setdiff1d(np.arange(n_edges + extra), position)
+        wide = np.full(n_edges + extra, np.nan)
+        wide[position] = capacities
+        wide[unused] = data.draw(
+            st.lists(
+                st.integers(min_value=1, max_value=50),
+                min_size=len(unused),
+                max_size=len(unused),
+            )
+        )
+        base = max_min_fair_allocation(flow_edges, capacities, weights)
+        spread = max_min_fair_allocation(
+            [position[edges] for edges in flow_edges], wide, weights
+        )
+        assert spread.rates.tobytes() == base.rates.tobytes()
+        assert spread.link_loads[position].tobytes() == base.link_loads.tobytes()
+        assert np.all(spread.link_loads[unused] == 0.0)
+        assert spread.bottleneck_rounds == base.bottleneck_rounds

@@ -122,3 +122,39 @@ class TestGravityWeighting:
         uniform = Scenario.paper_default("starlink", TINY_SCALE)
         gravity = replace(uniform, traffic_weighting="gravity")
         assert uniform.pairs != gravity.pairs
+
+
+def _list_based_draw(cities, num_pairs, seed, weighting):
+    """The sampler's draw made over the full ``eligible_pairs`` list."""
+    pairs = eligible_pairs(cities, 2_000e3)
+    rng = np.random.default_rng(seed)
+    if num_pairs >= len(pairs):
+        return [pairs[i] for i in rng.permutation(len(pairs))]
+    if weighting == "uniform":
+        chosen = rng.choice(len(pairs), size=num_pairs, replace=False)
+    else:
+        populations = np.array([c.population_k for c in cities], dtype=float)
+        weights = np.array([populations[p.a] * populations[p.b] for p in pairs])
+        chosen = rng.choice(
+            len(pairs), size=num_pairs, replace=False, p=weights / weights.sum()
+        )
+    return [pairs[i] for i in chosen]
+
+
+class TestSamplingMatchesListDraw:
+    """Drawing indices over the eligible arrays picks the same pairs."""
+
+    @pytest.mark.parametrize("weighting", ["uniform", "gravity"])
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_weighted_branches(self, cities, weighting, seed):
+        got = sample_city_pairs(
+            cities, num_pairs=150, seed=seed, weighting=weighting
+        )
+        assert got == _list_based_draw(cities, 150, seed, weighting)
+
+    @pytest.mark.parametrize("weighting", ["uniform", "gravity"])
+    def test_permutation_branch(self, cities, weighting):
+        got = sample_city_pairs(
+            cities, num_pairs=10**6, seed=7, weighting=weighting
+        )
+        assert got == _list_based_draw(cities, 10**6, 7, weighting)
