@@ -2,7 +2,8 @@
 
 For each snapshot, shortest-path RTTs for every city pair are computed
 with source-batched Dijkstra: pairs are grouped by source city, one
-single-source run serves every pair sharing that source. This is the
+single-source run serves every pair sharing that source, and the
+searches run a fixed number of sources at a time. This is the
 workhorse behind the paper's Section 4 (Fig. 2) analysis;
 :func:`compute_rtt_series_multi` is its one sweep entry point.
 """
@@ -21,7 +22,7 @@ from repro.obs import span
 from repro.flows.traffic import CityPair, pair_index
 from repro.integrity.guards import check_graph, check_rtt_series, strict_enabled
 from repro.network.graph import ConnectivityMode, SnapshotGraph
-from repro.network.paths import Path, extract_path
+from repro.network.paths import Path, extract_path, source_batched_dijkstra
 
 __all__ = [
     "RttSeries",
@@ -52,33 +53,24 @@ class RttSeries:
         return float(np.mean(np.isfinite(self.rtt_ms)))
 
 
-def _pairs_by_source(pairs: list[CityPair]) -> dict[int, list[int]]:
-    """Group pair indices by source city for source-batched Dijkstra.
-
-    One single-source run serves every pair sharing that source; both
-    the RTT sweep and path extraction batch this way. Keys follow first
-    appearance (dict insertion order) — iterate ``sorted(...)`` when a
-    deterministic source order matters.
-    """
-    by_source: dict[int, list[int]] = {}
-    for idx, pair in enumerate(pairs):
-        by_source.setdefault(pair.a, []).append(idx)
-    return by_source
-
-
 def _pair_rtts_on_graph(graph: SnapshotGraph, pairs: list[CityPair]) -> np.ndarray:
-    """Shortest-path RTT in ms for every pair on one snapshot graph."""
+    """Shortest-path RTT in ms for every pair on one snapshot graph.
+
+    Source-batched (:func:`repro.network.paths.source_batched_dijkstra`):
+    bit-identical to one all-sources call without ever holding its
+    (sources x nodes) distance block.
+    """
     if not pairs:
         return np.full(0, np.inf)
     index = pair_index(pairs)
     _, target_nodes = index.gt_nodes(graph.num_sats, graph.num_gts)
     with span("dijkstra"):
-        distances = csgraph.dijkstra(
+        dist_m, _ = source_batched_dijkstra(
             graph.matrix(),
-            directed=True,
-            indices=graph.num_sats + index.source_cities,
+            graph.num_sats + index.source_cities,
+            index.source_row,
+            target_nodes,
         )
-    dist_m = distances[index.source_row, target_nodes]
     return np.where(np.isfinite(dist_m), 2e3 * dist_m / SPEED_OF_LIGHT, np.inf)
 
 
@@ -148,22 +140,20 @@ def pair_paths_on_graph(
 ) -> list[tuple[int, ...] | None]:
     """Shortest-path node sequences for many pairs on one graph.
 
-    Source-batched: one predecessor-producing Dijkstra per unique source
-    city serves all pairs sharing it. Unreachable pairs yield ``None``.
+    Source-batched like the RTT row: one predecessor-producing search
+    per unique source city serves all pairs sharing it. Unreachable
+    pairs yield ``None``.
     """
-    by_source = _pairs_by_source(pairs)
-    matrix = graph.matrix()
-    paths: list[tuple[int, ...] | None] = [None] * len(pairs)
-    for city, pair_indices in by_source.items():
-        source = graph.gt_node(city)
-        with span("dijkstra"):
-            _, pred = csgraph.dijkstra(
-                matrix, directed=True, indices=source, return_predecessors=True
-            )
-        with span("path_extraction"):
-            for idx in pair_indices:
-                target = graph.gt_node(pairs[idx].b)
-                paths[idx] = extract_path(pred, source, target)
+    index = pair_index(pairs)
+    _, target_nodes = index.gt_nodes(graph.num_sats, graph.num_gts)
+    with span("dijkstra"):
+        _, paths = source_batched_dijkstra(
+            graph.matrix(),
+            graph.num_sats + index.source_cities,
+            index.source_row,
+            target_nodes,
+            paths=True,
+        )
     return paths
 
 

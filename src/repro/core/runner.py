@@ -19,16 +19,19 @@ Two ambient contexts wrap the whole batch:
   outages — turning any experiment into an outage-robustness probe.
 
 ``profile=True`` additionally runs every experiment under an
-observability registry (:mod:`repro.obs`): per-experiment wall/CPU time
-plus the span tree and counters collected by the instrumented hot
-layers. The aggregate lands in ``RunSummary.metrics_by_experiment``, is
-rendered as tables after the batch, and — when ``out_dir`` is set — is
-written as a schema-versioned ``metrics.json`` next to the results.
+observability registry (:mod:`repro.obs`): per-experiment wall/CPU time,
+the process's peak RSS when the experiment ends (a high-water mark, so
+it never falls across a batch), plus the span tree and counters
+collected by the instrumented hot layers. The aggregate lands in
+``RunSummary.metrics_by_experiment``, is rendered as tables after the
+batch, and — when ``out_dir`` is set — is written as a schema-versioned
+``metrics.json`` next to the results.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 import traceback
 from contextlib import ExitStack
@@ -104,6 +107,20 @@ _BASELINE_COUNTERS = (
     "integrity.shards_verified",
     "integrity.store_errors",
 )
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set so far in MB, or ``None``.
+
+    ``None`` where the platform has no ``resource`` module (Windows).
+    Linux reports ``ru_maxrss`` in KiB, macOS in bytes.
+    """
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 1024
 
 
 @dataclass
@@ -232,6 +249,9 @@ def run_experiments(
                 payload["ok"] = ok
                 payload["wall_s"] = time.perf_counter() - started
                 payload["cpu_s"] = time.process_time() - cpu_started
+                peak_rss = _peak_rss_mb()
+                if peak_rss is not None:
+                    payload["peak_rss_mb"] = peak_rss
                 return payload
 
             try:

@@ -45,7 +45,7 @@ from scipy.sparse import csgraph
 
 from repro.flows.traffic import CityPair, pair_index
 from repro.network.graph import SnapshotGraph
-from repro.network.paths import Path, extract_path
+from repro.network.paths import Path, extract_path, source_batched_dijkstra
 from repro.obs import incr, span, traced
 
 __all__ = [
@@ -54,11 +54,6 @@ __all__ = [
     "route_traffic",
     "route_traffic_multi_k",
 ]
-
-#: Sources per batched predecessor-Dijkstra call. Bounds the dense
-#: (sources x nodes) distance/predecessor block a chunk materializes to
-#: a few tens of MB even on the full ~65k-node graph.
-_SOURCE_BATCH = 64
 
 #: Search radius of disjoint round j >= 2, as a multiple of round j-1's
 #: path length. Smaller radii prune more but retry more often; 1.2 was
@@ -113,30 +108,19 @@ def _batch_edge_ids(graph: SnapshotGraph, paths: list[Path]) -> list[np.ndarray]
 
 def _first_round_paths(graph: SnapshotGraph, index) -> "list[Path | None]":
     """Round-1 shortest path for every pair, batched by source city."""
-    matrix = graph.matrix()
-    paths: "list[Path | None]" = [None] * index.num_pairs
-    source_nodes = graph.num_sats + index.source_cities
-    target_nodes = graph.num_sats + index.targets
-    for start in range(0, len(source_nodes), _SOURCE_BATCH):
-        chunk = source_nodes[start : start + _SOURCE_BATCH]
-        with span("dijkstra"):
-            dist, pred = csgraph.dijkstra(
-                matrix, directed=True, indices=chunk, return_predecessors=True
-            )
-        incr("routing.batched_dijkstras", len(chunk))
-        if dist.ndim == 1:  # a one-source chunk comes back flat
-            dist, pred = dist[None, :], pred[None, :]
-        for row in range(len(chunk)):
-            source = int(chunk[row])
-            dist_row, pred_row = dist[row], pred[row]
-            for pidx in index.pairs_for_source(start + row):
-                target = int(target_nodes[pidx])
-                nodes = extract_path(pred_row, source, target)
-                if nodes is not None:
-                    paths[pidx] = Path(
-                        nodes=nodes, length_m=float(dist_row[target])
-                    )
-    return paths
+    with span("dijkstra"):
+        dist, nodes = source_batched_dijkstra(
+            graph.matrix(),
+            graph.num_sats + index.source_cities,
+            index.source_row,
+            graph.num_sats + index.targets,
+            paths=True,
+        )
+    incr("routing.batched_dijkstras", len(index.source_cities))
+    return [
+        None if path is None else Path(nodes=path, length_m=float(length))
+        for path, length in zip(nodes, dist.tolist())
+    ]
 
 
 def _extra_disjoint_paths(

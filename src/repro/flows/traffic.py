@@ -45,28 +45,22 @@ class PairIndex:
     """Array view of a pair list, built once and shared across snapshots.
 
     Both the RTT pipeline and the routing layer repeatedly need the same
-    three things for a pair list: each pair's source/target city, the
-    sorted unique source cities (one batched Dijkstra serves every pair
-    sharing a source), and the grouping of pair indices by source. All
-    of it is pure pair-list data — independent of the snapshot graph —
-    so it is computed once per distinct pair list (see
-    :func:`pair_index`) instead of per pair per snapshot.
+    things for a pair list: each pair's source/target city, the sorted
+    unique source cities (one batched Dijkstra serves every pair sharing
+    a source), and each pair's position among them. All of it is pure
+    pair-list data — independent of the snapshot graph — so it is
+    computed once per distinct pair list (see :func:`pair_index`)
+    instead of per pair per snapshot.
     """
 
     sources: np.ndarray  # (P,) source city of each pair
     targets: np.ndarray  # (P,) target city of each pair
     source_cities: np.ndarray  # (S,) unique source cities, ascending
     source_row: np.ndarray  # (P,) position of each pair's source in source_cities
-    pair_order: np.ndarray  # (P,) pair indices grouped by source city
-    source_ptr: np.ndarray  # (S + 1,) group boundaries into pair_order
 
     @property
     def num_pairs(self) -> int:
         return len(self.sources)
-
-    def pairs_for_source(self, row: int) -> np.ndarray:
-        """Pair indices whose source is ``source_cities[row]``."""
-        return self.pair_order[self.source_ptr[row] : self.source_ptr[row + 1]]
 
     def gt_nodes(self, num_sats: int, num_gts: int) -> tuple[np.ndarray, np.ndarray]:
         """Graph node ids of every pair's (source, target) city.
@@ -85,17 +79,11 @@ def _build_pair_index(key: tuple[tuple[int, int], ...]) -> PairIndex:
     sources = np.fromiter((a for a, _ in key), dtype=np.int64, count=len(key))
     targets = np.fromiter((b for _, b in key), dtype=np.int64, count=len(key))
     source_cities, source_row = np.unique(sources, return_inverse=True)
-    pair_order = np.argsort(source_row, kind="stable")
-    source_ptr = np.searchsorted(
-        source_row[pair_order], np.arange(len(source_cities) + 1)
-    )
     return PairIndex(
         sources=sources,
         targets=targets,
         source_cities=source_cities,
         source_row=np.asarray(source_row, dtype=np.int64),
-        pair_order=pair_order,
-        source_ptr=source_ptr,
     )
 
 

@@ -8,7 +8,11 @@ scheme — find the shortest path, delete its edges, repeat — which is the
 model floodns-based setups use.
 
 Batching note: single-source Dijkstra already yields distances to *all*
-targets, so the latency experiments group city pairs by source.
+targets, so the latency and routing layers group city pairs by source and
+run :func:`source_batched_dijkstra`, a fixed number of sources per call.
+Each source's search is independent, so a batch's rows equal the same
+rows of one all-sources call bit for bit, while no call materializes more
+than ``_SOURCE_BATCH`` rows of the dense (sources x nodes) result.
 """
 
 from __future__ import annotations
@@ -26,9 +30,18 @@ __all__ = [
     "shortest_path",
     "shortest_paths_from",
     "extract_path",
+    "source_batched_dijkstra",
     "k_edge_disjoint_paths",
     "k_node_disjoint_paths",
 ]
+
+
+#: Sources per batched Dijkstra call. Bounds the dense (sources x nodes)
+#: distance/predecessor block one call materializes: 64 x 66,528 nodes x
+#: 12 B (float64 distance + int32 predecessor) is ~51 MB on the paper
+#: graph, where one all-sources call at 5,000 pairs (892 sources) would
+#: hold 475 MB of distances alone.
+_SOURCE_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -58,6 +71,58 @@ def shortest_paths_from(matrix: sparse.csr_matrix, source: int):
             matrix, directed=True, indices=source, return_predecessors=True
         )
     return dist, pred
+
+
+def source_batched_dijkstra(
+    matrix: sparse.csr_matrix,
+    sources,
+    source_row,
+    targets,
+    *,
+    paths: bool = False,
+):
+    """Shortest distances (and paths) for many (source, target) queries.
+
+    Query ``q`` asks for the distance from ``sources[source_row[q]]`` to
+    node ``targets[q]``. The searches run ``_SOURCE_BATCH`` sources per
+    ``csgraph.dijkstra`` call, and each batch's queries are answered
+    before the next batch runs, so the dense (sources x nodes) block of
+    one call is the most this holds at once. Returns ``(dist, nodes)``:
+    ``dist`` the per-query distances (``inf`` when unreachable), bit for
+    bit the entries of one all-sources call; ``nodes`` the per-query
+    node paths (``None`` when unreachable) when ``paths`` is set, else
+    ``None``.
+    """
+    sources = np.asarray(sources)
+    source_row = np.asarray(source_row)
+    targets = np.asarray(targets)
+    dist = np.empty(len(targets))
+    nodes = [None] * len(targets) if paths else None
+    order = np.argsort(source_row, kind="stable")
+    starts = np.arange(0, len(sources) + _SOURCE_BATCH, _SOURCE_BATCH)
+    bounds = np.searchsorted(source_row[order], starts)
+    for batch, start in enumerate(starts[:-1]):
+        queries = order[bounds[batch] : bounds[batch + 1]]
+        chunk = sources[start : start + _SOURCE_BATCH]
+        _answer_batch(matrix, chunk, start, queries, source_row, targets, dist, nodes)
+    return dist, nodes
+
+
+def _answer_batch(matrix, chunk, start, queries, source_row, targets, dist, nodes):
+    """One batch of :func:`source_batched_dijkstra`, answered in place.
+
+    A function of its own so the batch's dense block is freed on return,
+    before the next batch's search allocates its own.
+    """
+    result = csgraph.dijkstra(
+        matrix, directed=True, indices=chunk, return_predecessors=nodes is not None
+    )
+    block, pred = result if nodes is not None else (result, None)
+    rows = source_row[queries] - start
+    dist[queries] = block[rows, targets[queries]]
+    if nodes is not None:
+        for query, row in zip(queries.tolist(), rows.tolist()):
+            nodes[query] = extract_path(pred[row], int(chunk[row]), int(targets[query]))
 
 
 def extract_path(pred: np.ndarray, source: int, target: int) -> tuple[int, ...] | None:

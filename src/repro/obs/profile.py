@@ -42,8 +42,10 @@ def format_experiment_profile(experiment_id: str, payload: dict, top: int = 14) 
     header = f"profile: {experiment_id}"
     wall = payload.get("wall_s")
     cpu = payload.get("cpu_s")
+    peak_rss = payload.get("peak_rss_mb")
     if wall is not None:
-        header += f" (wall {wall:.2f}s, cpu {cpu:.2f}s)"
+        rss = "" if peak_rss is None else f", peak RSS {peak_rss:.1f} MB"
+        header += f" (wall {wall:.2f}s, cpu {cpu:.2f}s{rss})"
     rows = _span_rows(payload.get("spans", {}), top)
     if rows:
         blocks.append(

@@ -56,6 +56,9 @@ _EXPERIMENT_METRICS_SCHEMA = {
         "ok": {"type": "boolean"},
         "wall_s": {"type": "number", "minimum": 0},
         "cpu_s": {"type": "number", "minimum": 0},
+        # The process's peak resident set (MB) when the experiment
+        # ended; absent where the platform cannot report it.
+        "peak_rss_mb": {"type": "number", "minimum": 0},
         "schema_version": {"type": "integer", "minimum": 1},
         "spans": _SPANS_SCHEMA,
         "counters": _COUNTERS_SCHEMA,

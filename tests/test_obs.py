@@ -302,5 +302,14 @@ class TestProfileReport:
         assert "graph_build" in text
         assert "checkpoint.hits" in text
 
+    def test_header_shows_peak_rss_when_recorded(self):
+        payload = {"wall_s": 1.0, "cpu_s": 0.5, "spans": {}, "counters": {}}
+        without = obs.format_experiment_profile("fig2", payload)
+        assert "wall 1.00s, cpu 0.50s)" in without
+        assert "RSS" not in without
+        payload["peak_rss_mb"] = 402.75
+        text = obs.format_experiment_profile("fig2", payload)
+        assert "(wall 1.00s, cpu 0.50s, peak RSS 402.8 MB)" in text
+
     def test_report_handles_empty_batch(self):
         assert obs.format_profile_report({}) != ""

@@ -81,6 +81,8 @@ class TestArtifactSchemas:
         assert entry["counters"]["checkpoint.misses"] == 1
         # Baseline counters are present even at zero.
         assert entry["counters"]["parallel.worker_retries"] == 0
+        # The process's peak RSS: a positive number of MB.
+        assert 1.0 < entry["peak_rss_mb"] < 1e6
 
     def test_metrics_file_rejected_as_result(self, run_dir):
         with pytest.raises(ValueError, match="'metrics'"):
@@ -119,6 +121,23 @@ class TestSchemaValidator:
             "experiments": {"fig2": "not-an-object"},
         }
         with pytest.raises(SchemaError, match=r"\$\.experiments\.fig2"):
+            validate(payload, METRICS_SCHEMA)
+
+    def test_peak_rss_is_an_optional_number(self):
+        entry = {"wall_s": 1.0, "cpu_s": 1.0, "spans": {}, "counters": {}}
+        payload = {
+            "kind": "metrics",
+            "schema_version": 1,
+            "experiments": {"fig2": entry},
+        }
+        validate(payload, METRICS_SCHEMA)
+        entry["peak_rss_mb"] = 123.4
+        validate(payload, METRICS_SCHEMA)
+        entry["peak_rss_mb"] = "123 MB"
+        with pytest.raises(SchemaError, match="peak_rss_mb"):
+            validate(payload, METRICS_SCHEMA)
+        entry["peak_rss_mb"] = -1.0
+        with pytest.raises(SchemaError, match="minimum"):
             validate(payload, METRICS_SCHEMA)
 
     def test_bool_is_not_a_number(self):
