@@ -99,6 +99,7 @@ _BASELINE_COUNTERS = (
     "checkpoint.misses",
     "parallel.worker_retries",
     "parallel.pool_recreations",
+    "search.fork_fallbacks",
     "engine.static_hits",
     "engine.static_misses",
     "engine.frame_hits",
@@ -109,17 +110,20 @@ _BASELINE_COUNTERS = (
 )
 
 
-def _peak_rss_mb() -> float | None:
-    """This process's peak resident set so far in MB, or ``None``.
+def _peak_rss_mb(who: str = "RUSAGE_SELF") -> float | None:
+    """Peak resident set so far in MB, or ``None``.
 
-    ``None`` where the platform has no ``resource`` module (Windows).
-    Linux reports ``ru_maxrss`` in KiB, macOS in bytes.
+    ``who`` names the ``resource`` target: ``RUSAGE_SELF`` for this
+    process, ``RUSAGE_CHILDREN`` for the largest child it has reaped
+    (forked search workers, snapshot-pool workers). ``None`` where the
+    platform has no ``resource`` module (Windows). Linux reports
+    ``ru_maxrss`` in KiB, macOS in bytes.
     """
     try:
         import resource
     except ImportError:
         return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = resource.getrusage(getattr(resource, who)).ru_maxrss
     return peak / 2**20 if sys.platform == "darwin" else peak / 1024
 
 
@@ -249,9 +253,13 @@ def run_experiments(
                 payload["ok"] = ok
                 payload["wall_s"] = time.perf_counter() - started
                 payload["cpu_s"] = time.process_time() - cpu_started
-                peak_rss = _peak_rss_mb()
-                if peak_rss is not None:
-                    payload["peak_rss_mb"] = peak_rss
+                for key, who in (
+                    ("peak_rss_mb", "RUSAGE_SELF"),
+                    ("peak_children_rss_mb", "RUSAGE_CHILDREN"),
+                ):
+                    peak = _peak_rss_mb(who)
+                    if peak is not None:
+                        payload[key] = peak
                 return payload
 
             try:

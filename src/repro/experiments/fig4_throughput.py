@@ -59,14 +59,15 @@ def throughput_matrix(
     ks=(1, 4),
     capacities: LinkCapacities | None = None,
     time_s: float = 0.0,
-    processes: int = 1,
 ) -> dict:
     """Aggregate throughput for every (mode, k) combination, Gbps.
 
-    Runs through the generic snapshot map (serial by default, parallel
-    and checkpoint/resume-capable like every other sweep), with one row
-    per mode holding the aggregate for each ``k``. Both modes of the
-    snapshot share one cached geometry frame via the engine.
+    Runs through the generic snapshot map (checkpoint/resume-capable
+    like every other sweep), with one row per mode holding the aggregate
+    for each ``k``. The map has a single snapshot, so it runs
+    in-process; the cores go to the snapshot's searches instead
+    (:func:`repro.network.paths.fork_map`). Both modes of the snapshot
+    share one cached geometry frame via the engine.
     """
     capacities = capacities or LinkCapacities()
     ks = tuple(int(k) for k in ks)
@@ -81,7 +82,6 @@ def throughput_matrix(
         row_len=len(ks),
         times_s=np.asarray([float(time_s)]),
         label=label,
-        processes=processes,
     )
     return {
         (mode.value, k): float(rows[mode][j, 0])

@@ -34,6 +34,16 @@ A retry is skipped when the bounded search provably pruned nothing
 is how a pair whose source is cut off fails without a second search.
 Retries are counted as ``routing.bounded_retries``;
 ``routing.pair_dijkstras`` still counts one search per round.
+
+Both stages use every core (:func:`repro.network.paths.fork_map`).
+Round 1 splits its sources into one contiguous group per worker.
+Rounds 2..k deal the routed pairs to workers in interleaved order
+(``routed[w::n]``) so slow and fast pairs spread evenly. Each worker
+deletes and restores edges in its own copy-on-write ``matrix.data``,
+never the parent's, and sends its paths back as flat arrays (lengths,
+nodes, edge ids) with its search counters, which the parent merges into
+the active registry. Sub-flows are merged back in pair order, so paths,
+edge ids, sub-flow order and every counter equal a one-process run.
 """
 
 from __future__ import annotations
@@ -45,7 +55,15 @@ from scipy.sparse import csgraph
 
 from repro.flows.traffic import CityPair, pair_index
 from repro.network.graph import SnapshotGraph
-from repro.network.paths import Path, extract_path, source_batched_dijkstra
+from repro.network import paths as search
+from repro.network.paths import (
+    Path,
+    extract_path,
+    fork_map,
+    pack_paths,
+    source_batched_dijkstra,
+    unpack_paths,
+)
 from repro.obs import incr, span, traced
 
 __all__ = [
@@ -221,7 +239,6 @@ def route_traffic_multi_k(
     index = pair_index(pairs)
     # One bounds check for the whole pair list (mirrors graph.gt_node).
     source_nodes, target_nodes = index.gt_nodes(graph.num_sats, graph.num_gts)
-    matrix = graph.matrix()
     max_edge_m = float(graph.edge_dist_m.max(initial=0.0))
 
     with span("first_round"):
@@ -239,33 +256,104 @@ def route_traffic_multi_k(
         subflows: list[SubFlow] = []
         unrouted: list[int] = []
         with span("disjoint_rounds"):
+            extra = {}
+            if k > 1:
+                extra = _later_rounds(
+                    graph,
+                    routed_indices,
+                    source_nodes,
+                    target_nodes,
+                    first_paths,
+                    first_ids,
+                    k,
+                    max_edge_m,
+                )
             for pidx in range(index.num_pairs):
                 first = first_paths[pidx]
                 if first is None:
                     incr("routing.unrouted_pairs")
                     unrouted.append(pidx)
                     continue
-                if k == 1:
-                    routed = [(first, first_ids[pidx])]
-                else:
-                    routed = _extra_disjoint_paths(
-                        graph,
-                        matrix,
-                        int(source_nodes[pidx]),
-                        int(target_nodes[pidx]),
-                        k,
-                        first,
-                        first_ids[pidx],
-                        max_edge_m,
-                    )
-                for path, ids in routed:
-                    subflows.append(
-                        SubFlow(pair_index=pidx, path=path, edge_ids=ids)
-                    )
+                subflows.append(
+                    SubFlow(pair_index=pidx, path=first, edge_ids=first_ids[pidx])
+                )
+                for path, ids in extra.get(pidx, ()):
+                    subflows.append(SubFlow(pair_index=pidx, path=path, edge_ids=ids))
         results[k] = RoutedTraffic(
             graph=graph, subflows=subflows, unrouted_pairs=unrouted
         )
     return results
+
+
+def _later_rounds(
+    graph: SnapshotGraph,
+    routed: "list[int]",
+    source_nodes,
+    target_nodes,
+    first_paths: "list[Path | None]",
+    first_ids: "list[np.ndarray | None]",
+    k: int,
+    max_edge_m: float,
+) -> "dict[int, list[tuple[Path, np.ndarray]]]":
+    """Rounds 2..k for every routed pair, dealt over forked workers.
+
+    Worker ``w`` of ``n`` takes ``routed[w::n]`` (interleaved, so slow
+    and fast pairs spread evenly) and deletes and restores edges in its
+    own copy-on-write ``matrix.data``. Returns each pair's extra
+    ``(path, edge ids)`` in round order, identical for any worker count.
+    """
+    matrix = graph.matrix()
+    workers = search._worker_count(len(routed) * (k - 1), matrix.nnz)
+    if routed:
+        # Build the CSR-slot table once, before any fork shares it.
+        graph.edge_csr_positions(np.empty(0, dtype=np.int64))
+
+    def deal(worker: int):
+        per_pair, found = [], []
+        for pidx in routed[worker::workers]:
+            extra = _extra_disjoint_paths(
+                graph,
+                matrix,
+                int(source_nodes[pidx]),
+                int(target_nodes[pidx]),
+                k,
+                first_paths[pidx],
+                first_ids[pidx],
+                max_edge_m,
+            )[1:]
+            per_pair.append(len(extra))
+            found.extend(extra)
+        return (
+            np.asarray(per_pair, dtype=np.int64),
+            np.asarray([path.length_m for path, _ in found], dtype=float),
+            *pack_paths([path.nodes for path, _ in found]),
+            np.concatenate([ids for _, ids in found] or [np.empty(0, np.int64)]),
+        )
+
+    dealt = [_unpack_rounds(*packed) for packed in fork_map(deal, workers)]
+    return {
+        pidx: dealt[j % workers][j // workers] for j, pidx in enumerate(routed)
+    }
+
+
+def _unpack_rounds(per_pair, lengths, node_counts, nodes, ids):
+    """One worker's packed rounds back to per-pair ``(Path, ids)`` lists."""
+    found = list(
+        zip(
+            (
+                Path(nodes=path, length_m=length)
+                for path, length in zip(
+                    unpack_paths(node_counts, nodes), lengths.tolist()
+                )
+            ),
+            np.split(ids, np.cumsum(node_counts - 1)[:-1]),
+        )
+    )
+    out, end = [], 0
+    for count in per_pair.tolist():
+        start, end = end, end + count
+        out.append(found[start:end])
+    return out
 
 
 def route_traffic(

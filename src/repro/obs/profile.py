@@ -43,8 +43,11 @@ def format_experiment_profile(experiment_id: str, payload: dict, top: int = 14) 
     wall = payload.get("wall_s")
     cpu = payload.get("cpu_s")
     peak_rss = payload.get("peak_rss_mb")
+    children_rss = payload.get("peak_children_rss_mb")
     if wall is not None:
         rss = "" if peak_rss is None else f", peak RSS {peak_rss:.1f} MB"
+        if children_rss is not None:
+            rss += f", children {children_rss:.1f} MB"
         header += f" (wall {wall:.2f}s, cpu {cpu:.2f}s{rss})"
     rows = _span_rows(payload.get("spans", {}), top)
     if rows:

@@ -59,6 +59,9 @@ _EXPERIMENT_METRICS_SCHEMA = {
         # The process's peak resident set (MB) when the experiment
         # ended; absent where the platform cannot report it.
         "peak_rss_mb": {"type": "number", "minimum": 0},
+        # The same for the largest reaped child process (forked search
+        # workers, snapshot-pool workers); 0 when none has exited.
+        "peak_children_rss_mb": {"type": "number", "minimum": 0},
         "schema_version": {"type": "integer", "minimum": 1},
         "spans": _SPANS_SCHEMA,
         "counters": _COUNTERS_SCHEMA,

@@ -311,5 +311,17 @@ class TestProfileReport:
         text = obs.format_experiment_profile("fig2", payload)
         assert "(wall 1.00s, cpu 0.50s, peak RSS 402.8 MB)" in text
 
+    def test_header_shows_children_peak_rss_when_recorded(self):
+        payload = {
+            "wall_s": 1.0,
+            "cpu_s": 0.5,
+            "peak_rss_mb": 402.75,
+            "peak_children_rss_mb": 80.25,
+            "spans": {},
+            "counters": {},
+        }
+        text = obs.format_experiment_profile("fig4", payload)
+        assert "(wall 1.00s, cpu 0.50s, peak RSS 402.8 MB, children 80.2 MB)" in text
+
     def test_report_handles_empty_batch(self):
         assert obs.format_profile_report({}) != ""

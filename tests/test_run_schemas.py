@@ -81,8 +81,11 @@ class TestArtifactSchemas:
         assert entry["counters"]["checkpoint.misses"] == 1
         # Baseline counters are present even at zero.
         assert entry["counters"]["parallel.worker_retries"] == 0
-        # The process's peak RSS: a positive number of MB.
+        assert entry["counters"]["search.fork_fallbacks"] == 0
+        # The process's peak RSS: a positive number of MB; the largest
+        # reaped child's, a non-negative one.
         assert 1.0 < entry["peak_rss_mb"] < 1e6
+        assert 0.0 <= entry["peak_children_rss_mb"] < 1e6
 
     def test_metrics_file_rejected_as_result(self, run_dir):
         with pytest.raises(ValueError, match="'metrics'"):
@@ -137,6 +140,24 @@ class TestSchemaValidator:
         with pytest.raises(SchemaError, match="peak_rss_mb"):
             validate(payload, METRICS_SCHEMA)
         entry["peak_rss_mb"] = -1.0
+        with pytest.raises(SchemaError, match="minimum"):
+            validate(payload, METRICS_SCHEMA)
+
+    def test_peak_children_rss_is_an_optional_number(self):
+        entry = {"wall_s": 1.0, "cpu_s": 1.0, "spans": {}, "counters": {}}
+        payload = {
+            "kind": "metrics",
+            "schema_version": 1,
+            "experiments": {"fig4": entry},
+        }
+        entry["peak_children_rss_mb"] = 0.0
+        validate(payload, METRICS_SCHEMA)
+        entry["peak_children_rss_mb"] = 80.5
+        validate(payload, METRICS_SCHEMA)
+        entry["peak_children_rss_mb"] = "80 MB"
+        with pytest.raises(SchemaError, match="peak_children_rss_mb"):
+            validate(payload, METRICS_SCHEMA)
+        entry["peak_children_rss_mb"] = -1.0
         with pytest.raises(SchemaError, match="minimum"):
             validate(payload, METRICS_SCHEMA)
 
