@@ -9,7 +9,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.comparison import LatencyComparison, compare_latency
 from repro.core.engine import (
-    EngineCacheStats,
     GeometryFrame,
     SnapshotEngine,
     StaticContext,
@@ -50,7 +49,6 @@ __all__ = [
     "SnapshotEngine",
     "StaticContext",
     "GeometryFrame",
-    "EngineCacheStats",
     "assemble_graph",
     "SnapshotCheckpoint",
     "CheckpointMismatchError",

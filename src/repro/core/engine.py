@@ -1,8 +1,7 @@
-"""Layered snapshot engine: cached static / per-time / per-mode stages.
+"""Layered snapshot engine: the one builder of snapshot graphs.
 
-:func:`repro.network.graph.build_snapshot_graph` recomputes everything
-on every call, yet most of its work is invariant across the calls real
-workloads make:
+Real workloads build many graphs that share most of their work, so
+construction is split into cached stages:
 
 * **static layer** (:class:`StaticContext`) — invariant for a
   (constellation, ground segment): station ECEF for the static ground
@@ -13,7 +12,8 @@ workloads make:
   snapshot time across connectivity modes and policies: satellite ECEF
   (propagation), the materialized station table (aircraft move), GT
   ECEF, the *candidate* GT-satellite visibility edges with slant
-  distances, and lazily the ISL lengths. Frames live in an LRU cache.
+  distances, and lazily the ISL lengths. Frames live in an LRU cache of
+  :data:`FRAME_CACHE_SIZE` entries.
 * **per-mode assembly** (:func:`assemble_graph`) — the cheap final
   step: BP drops ISL rows, hybrid/ISL modes append them, and the GSO /
   beam-limit / fiber / fault filters apply here. Faults are *never*
@@ -21,17 +21,13 @@ workloads make:
   :class:`~repro.faults.FaultSpec` can neither leak into nor out of the
   cache.
 
-The assembled graphs are numerically identical to
-``build_snapshot_graph`` output (same edges, distances, kinds, in the
-same order) — the splitting only removes redundant recomputation. A
-two-mode sweep therefore pays for propagation and KD-tree queries once
+A two-mode sweep therefore pays for propagation and KD-tree queries once
 per snapshot instead of once per (snapshot, mode).
 
-Observability: the engine bumps ``engine.static_hits/misses`` and
-``engine.frame_hits/misses`` counters and nests its work under the
-``graph_build`` span (children: ``frame_build`` with ``kdtree_query``
-on a frame miss, ``edge_assembly`` always), so profiles of the old and
-new paths line up.
+Observability: each graph build bumps ``engine.static_hits/misses``,
+``engine.frame_hits/misses`` and ``engine.assemblies`` once, and nests
+its work under the ``graph_build`` span (children: ``frame_build`` with
+``kdtree_query`` on a frame miss, ``edge_assembly`` always).
 """
 
 from __future__ import annotations
@@ -65,53 +61,17 @@ from repro.orbits.coordinates import geodetic_to_ecef
 from repro.orbits.visibility import coverage_central_angle_rad
 
 __all__ = [
-    "EngineCacheStats",
     "GeometryFrame",
     "SnapshotEngine",
     "StaticContext",
     "assemble_graph",
 ]
 
-#: Default number of geometry frames kept alive per engine. A two-mode
-#: same-instant workload needs exactly one; serial one-mode-at-a-time
-#: passes over short series benefit from a few more. Frames are the
-#: memory-heavy layer (candidate edges scale with GTs x coverage), so
-#: the default stays small.
-DEFAULT_FRAME_CACHE_SIZE = 8
-
-
-@dataclass
-class EngineCacheStats:
-    """Local hit/miss counters for one engine (obs-independent).
-
-    The same events also land on the active observability registry as
-    ``engine.*`` counters; these fields exist so tests and callers can
-    inspect cache behaviour without running under :func:`repro.obs.observe`.
-    """
-
-    static_builds: int = 0
-    static_reuses: int = 0
-    frame_hits: int = 0
-    frame_misses: int = 0
-    frame_evictions: int = 0
-    assemblies: int = 0
-
-    def frame_hit_rate(self) -> float:
-        """Fraction of frame requests served from cache (0 when unused)."""
-        total = self.frame_hits + self.frame_misses
-        return self.frame_hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        """Plain-dict form for logs and bench records."""
-        return {
-            "static_builds": self.static_builds,
-            "static_reuses": self.static_reuses,
-            "frame_hits": self.frame_hits,
-            "frame_misses": self.frame_misses,
-            "frame_evictions": self.frame_evictions,
-            "assemblies": self.assemblies,
-            "frame_hit_rate": self.frame_hit_rate(),
-        }
+#: Geometry frames kept alive per engine. A two-mode same-instant
+#: workload needs exactly one; serial one-mode-at-a-time passes over
+#: short series benefit from a few more. Frames are the memory-heavy
+#: layer (candidate edges scale with GTs x coverage), so this stays small.
+FRAME_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -237,7 +197,15 @@ class GeometryFrame:
 
 
 def _build_frame(static: StaticContext, time_s: float) -> GeometryFrame:
-    """The per-time layer: propagate, materialize GTs, find candidates."""
+    """The per-time layer: propagate, materialize GTs, find candidates.
+
+    GT-satellite visibility uses the spherical coverage-cone condition:
+    a GT may use a satellite when the central angle between the GT's
+    ground projection and the sub-satellite point is at most the shell's
+    coverage angle. For aircraft GTs at 11 km the ground projection
+    shifts the elevation threshold by well under a degree, which is
+    negligible next to the 25-30 degree minimum elevations involved.
+    """
     sat_ecef = static.constellation.positions_ecef(time_s)
     stations = static.ground.stations_at(time_s)
     num_sats = len(sat_ecef)
@@ -282,9 +250,8 @@ def _build_frame(static: StaticContext, time_s: float) -> GeometryFrame:
             sats_local = np.concatenate(sat_parts)
             gts = np.concatenate(gt_parts)
             # Sort (satellite, gt) ascending. Every aircraft index
-            # exceeds every static index after the offset, so this is
-            # exactly the sorted per-satellite static-then-aircraft
-            # order of the historical per-satellite assembly loop.
+            # exceeds every static index after the offset, so each
+            # satellite lists its static GTs, then its aircraft.
             order = np.lexsort((gts, sats_local))
             edge_u.append(sats_local[order] + offset)
             edge_v.append(gts[order] + num_sats)
@@ -324,12 +291,22 @@ def assemble_graph(
 ) -> SnapshotGraph:
     """The per-mode layer: compose a :class:`SnapshotGraph` from a frame.
 
-    Filter order is load-bearing and mirrors the monolithic builder:
-    GSO-noncompliant candidate edges are dropped *first*, then the beam
-    limit ranks what remains (a forbidden edge must not consume a
-    beam), then ISL and fiber rows are appended, and faults are applied
-    to the fully assembled graph. Faults always run here — never in a
-    cached layer — so fault injection cannot poison frames.
+    ``gso_policy`` drops GT-satellite edges violating the Section 7 GSO
+    arc-avoidance separation. ``max_gts_per_satellite`` models a finite
+    beam count: each satellite keeps only its N closest GTs (Section 2
+    has satellites "connect simultaneously to multiple GTs using
+    different frequency bands"; the default ``None`` is the paper's
+    unbounded reading, while real spot-beam payloads are bounded, which
+    the D8 ablation probes). ``fiber_max_km`` adds terrestrial fiber
+    edges between city GTs within that distance (Section 8
+    "distributed GTs").
+
+    Filter order is load-bearing: GSO-noncompliant candidate edges are
+    dropped *first*, then the beam limit ranks what remains (a forbidden
+    edge must not consume a beam), then ISL and fiber rows are appended,
+    and faults are applied to the fully assembled graph. Faults always
+    run here — never in a cached layer — so fault injection cannot
+    poison frames.
     """
     stations = frame.stations
     num_sats = frame.num_sats
@@ -400,26 +377,15 @@ class SnapshotEngine:
     One engine per (constellation, ground segment); both are treated as
     immutable, so the static layer never invalidates. Frames are keyed
     by exact snapshot time and kept in an LRU cache of
-    ``frame_cache_size`` entries; :meth:`clear` empties it (e.g. after
-    an experiment mutates global state the engine cannot see — there is
-    no such state today, but the escape hatch is cheap).
+    :data:`FRAME_CACHE_SIZE` entries.
 
     Thread-safe for concurrent ``graph_at`` calls: cache bookkeeping is
     lock-protected and frames are immutable once published.
     """
 
-    def __init__(
-        self,
-        constellation: Constellation,
-        ground: GroundSegment,
-        frame_cache_size: int = DEFAULT_FRAME_CACHE_SIZE,
-    ):
-        if frame_cache_size < 1:
-            raise ValueError("frame_cache_size must be >= 1")
+    def __init__(self, constellation: Constellation, ground: GroundSegment):
         self.constellation = constellation
         self.ground = ground
-        self.frame_cache_size = frame_cache_size
-        self.stats = EngineCacheStats()
         self._static: StaticContext | None = None
         self._frames: OrderedDict[float, GeometryFrame] = OrderedDict()
         self._lock = threading.Lock()
@@ -431,10 +397,8 @@ class SnapshotEngine:
             if self._static is None:
                 with span("static_build"):
                     self._static = StaticContext.build(self.constellation, self.ground)
-                self.stats.static_builds += 1
                 incr("engine.static_misses")
             else:
-                self.stats.static_reuses += 1
                 incr("engine.static_hits")
             return self._static
 
@@ -446,7 +410,6 @@ class SnapshotEngine:
             frame = self._frames.get(key)
             if frame is not None:
                 self._frames.move_to_end(key)
-                self.stats.frame_hits += 1
                 incr("engine.frame_hits")
                 return frame
         # Build outside the lock: frame construction is the expensive
@@ -456,13 +419,11 @@ class SnapshotEngine:
         with span("frame_build"):
             frame = _build_frame(static, key)
         with self._lock:
-            self.stats.frame_misses += 1
             incr("engine.frame_misses")
             self._frames[key] = frame
             self._frames.move_to_end(key)
-            while len(self._frames) > self.frame_cache_size:
+            while len(self._frames) > FRAME_CACHE_SIZE:
                 self._frames.popitem(last=False)
-                self.stats.frame_evictions += 1
         return frame
 
     def graph_at(
@@ -478,10 +439,11 @@ class SnapshotEngine:
         """Assemble one snapshot graph through the cached layers."""
         with span("graph_build"):
             frame = self.frame_at(time_s)
-            self.stats.assemblies += 1
             incr("engine.assemblies")
+            # The frame carries the static layer it was built from, so
+            # one build reads (and counts) the static layer once.
             return assemble_graph(
-                self.static,
+                frame._static,
                 frame,
                 mode,
                 gso_policy=gso_policy,
@@ -490,35 +452,7 @@ class SnapshotEngine:
                 faults=faults,
             )
 
-    def graphs_at(
-        self,
-        time_s: float,
-        modes,
-        *,
-        gso_policy: GsoProtectionPolicy | None = None,
-        fiber_max_km: float | None = None,
-        max_gts_per_satellite: int | None = None,
-        faults: FaultSpec | None = None,
-    ) -> dict[ConnectivityMode, SnapshotGraph]:
-        """All requested modes of one instant, from one shared frame."""
-        return {
-            mode: self.graph_at(
-                time_s,
-                mode,
-                gso_policy=gso_policy,
-                fiber_max_km=fiber_max_km,
-                max_gts_per_satellite=max_gts_per_satellite,
-                faults=faults,
-            )
-            for mode in modes
-        }
-
     def cached_frame_times(self) -> list[float]:
         """Snapshot times currently held in the frame cache (LRU order)."""
         with self._lock:
             return list(self._frames)
-
-    def clear(self) -> None:
-        """Drop every cached frame (the static layer stays)."""
-        with self._lock:
-            self._frames.clear()

@@ -314,14 +314,7 @@ class Scenario:
         BP against hybrid at the same time pays for propagation and
         visibility queries once.
         """
-        return self.engine.graphs_at(
-            time_s,
-            modes,
-            gso_policy=self.gso_policy,
-            fiber_max_km=self.fiber_max_km,
-            max_gts_per_satellite=self.max_gts_per_satellite,
-            faults=self._fault_spec(),
-        )
+        return {mode: self.graph_at(time_s, mode) for mode in modes}
 
     def __getstate__(self):
         """Pickle support: drop the engine (KD-trees, cached frames).

@@ -78,6 +78,8 @@ class FaultSpec:
             value = getattr(self, key)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{key} outage fraction {value} not in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"fault seed {self.seed} must be non-negative")
 
     @property
     def is_noop(self) -> bool:

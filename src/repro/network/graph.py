@@ -1,17 +1,20 @@
 """Snapshot network graphs: satellites + GTs + (optionally) ISLs.
 
-This is the heart of the simulator. For one time snapshot it builds the
-graph the paper routes over:
+:class:`SnapshotGraph` is the graph the paper routes over at one time
+snapshot:
 
 * node ids ``[0, num_sats)`` are satellites (the constellation's flat
   index space), ``[num_sats, num_sats + num_gts)`` are GTs in station-
   table order (cities, relays, aircraft);
 * GT-satellite edges exist when the satellite is above the GT's minimum
   elevation (equivalently: the GT lies in the satellite's coverage cone);
-* ISL edges (hybrid/ISL-only modes) follow the +Grid topology.
+* ISL edges (hybrid/ISL-only modes) follow the +Grid topology;
+* fiber edges (optional) join nearby city GTs.
 
-Edge discovery is vectorized: GT unit vectors go into a KD-tree once and
-each shell queries it with its coverage cone's chord radius.
+Graphs are built by :class:`repro.core.engine.SnapshotEngine`; this
+module holds the graph type, the connectivity modes and the GT-satellite
+edge filters the engine's assembly stage applies (GSO arc avoidance,
+per-satellite beam limit).
 """
 
 from __future__ import annotations
@@ -22,19 +25,10 @@ from enum import Enum
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
 from repro.constants import EARTH_RADIUS, SPEED_OF_LIGHT
-from repro.obs import span, traced
-from repro.network.fiber import city_fiber_edges
 from repro.network.links import LinkCapacities, LinkKind
-from repro.network.topology import constellation_isl_edges, isl_lengths_m
-from repro.orbits.constellation import Constellation
-from repro.orbits.coordinates import geodetic_to_ecef
-from repro.orbits.visibility import (
-    coverage_central_angle_rad,
-    gso_arc_directions_enu,
-)
+from repro.orbits.visibility import gso_arc_directions_enu
 from repro.ground.stations import StationTable
 
 __all__ = [
@@ -42,7 +36,6 @@ __all__ = [
     "GsoProtectionPolicy",
     "SnapshotGraph",
     "beam_limited_edge_mask",
-    "build_snapshot_graph",
     "isl_grazing_altitude_m",
     "gso_compliant_edge_mask",
 ]
@@ -408,135 +401,3 @@ def beam_limited_edge_mask(
     keep = np.zeros(len(edge_sat_index), dtype=bool)
     keep[order[keep_sorted]] = True
     return keep
-
-
-@traced("graph_build")
-def build_snapshot_graph(
-    constellation: Constellation,
-    stations: StationTable,
-    time_s: float,
-    mode: ConnectivityMode = ConnectivityMode.HYBRID,
-    gso_policy: GsoProtectionPolicy | None = None,
-    fiber_max_km: float | None = None,
-    max_gts_per_satellite: int | None = None,
-) -> SnapshotGraph:
-    """Build the network graph for one snapshot, monolithically.
-
-    This is the single-shot reference path: every call recomputes all
-    geometry from scratch. Repeated builds (time series, multi-mode
-    comparisons) should go through the layered
-    :class:`repro.core.engine.SnapshotEngine`, which caches the
-    time-invariant and mode-invariant stages and produces numerically
-    identical graphs.
-
-    GT-satellite visibility uses the spherical coverage-cone condition:
-    a GT may use a satellite when the central angle between the GT and
-    the sub-satellite point is at most the shell's coverage angle. (For
-    aircraft GTs at 11 km the ground-projection approximation shifts the
-    elevation threshold by well under a degree, which is negligible next
-    to the 25-30 degree minimum elevations involved.)
-
-    ``gso_policy`` additionally drops GT-satellite edges violating the
-    Section 7 GSO arc-avoidance separation. ``fiber_max_km`` adds
-    terrestrial fiber edges between city GTs within that distance
-    (Section 8 "distributed GTs"). ``max_gts_per_satellite`` models a
-    finite beam count: each satellite keeps only its N closest GTs (the
-    paper's Section 2 notes satellites "connect simultaneously to
-    multiple GTs using different frequency bands" — the default ``None``
-    matches the paper's unbounded reading; real spot-beam payloads are
-    bounded, which the D8 ablation probes).
-    """
-    sat_ecef = constellation.positions_ecef(time_s)
-    gt_ecef = geodetic_to_ecef(stations.lats, stations.lons, stations.altitudes)
-    num_sats = len(sat_ecef)
-    num_gts = len(gt_ecef)
-
-    with span("kdtree_query"):
-        gt_units = geodetic_to_ecef(stations.lats, stations.lons, 0.0) / EARTH_RADIUS
-        tree = cKDTree(gt_units)
-
-        edge_u: list[np.ndarray] = []
-        edge_v: list[np.ndarray] = []
-        offsets = constellation.shell_offsets()
-        for offset, shell in zip(offsets, constellation.shells):
-            psi = coverage_central_angle_rad(shell.altitude_m, shell.min_elevation_deg)
-            chord = 2.0 * np.sin(psi / 2.0)
-            shell_sats = sat_ecef[offset : offset + shell.num_satellites]
-            sat_units = shell_sats / np.linalg.norm(shell_sats, axis=1, keepdims=True)
-            neighbour_lists = tree.query_ball_point(sat_units, r=chord)
-            for local_idx, gt_indices in enumerate(neighbour_lists):
-                if not gt_indices:
-                    continue
-                gts = np.asarray(gt_indices, dtype=np.int64)
-                edge_u.append(np.full(len(gts), offset + local_idx, dtype=np.int64))
-                edge_v.append(gts + num_sats)
-
-    with span("edge_assembly"):
-        if edge_u:
-            u = np.concatenate(edge_u)
-            v = np.concatenate(edge_v)
-        else:
-            u = np.empty(0, dtype=np.int64)
-            v = np.empty(0, dtype=np.int64)
-        gt_sat_edges = np.stack([u, v], axis=1)
-
-        if gso_policy is not None and len(gt_sat_edges):
-            compliant = gso_compliant_edge_mask(
-                stations.lats,
-                stations.lons,
-                gt_ecef,
-                sat_ecef,
-                gt_sat_edges[:, 1] - num_sats,
-                gt_sat_edges[:, 0],
-                gso_policy,
-            )
-            gt_sat_edges = gt_sat_edges[compliant]
-
-        gt_sat_dists = np.linalg.norm(
-            sat_ecef[gt_sat_edges[:, 0]] - gt_ecef[gt_sat_edges[:, 1] - num_sats], axis=1
-        ) if len(gt_sat_edges) else np.empty(0)
-
-        if max_gts_per_satellite is not None and len(gt_sat_edges):
-            keep = beam_limited_edge_mask(
-                gt_sat_edges[:, 0], gt_sat_dists, max_gts_per_satellite
-            )
-            gt_sat_edges = gt_sat_edges[keep]
-            gt_sat_dists = gt_sat_dists[keep]
-
-        edge_blocks = [gt_sat_edges.reshape(-1, 2)]
-        dist_blocks = [gt_sat_dists]
-        kind_blocks = [np.full(len(gt_sat_edges), _KIND_GT_SAT, dtype=np.int8)]
-
-        if mode.uses_isls:
-            isl_edges = constellation_isl_edges(constellation)
-            edge_blocks.append(isl_edges)
-            dist_blocks.append(isl_lengths_m(isl_edges, sat_ecef))
-            kind_blocks.append(np.full(len(isl_edges), _KIND_ISL, dtype=np.int8))
-
-        if fiber_max_km is not None and stations.city_count >= 2:
-            city_edges, fiber_dists = city_fiber_edges(
-                stations.lats[: stations.city_count],
-                stations.lons[: stations.city_count],
-                fiber_max_km,
-            )
-            if len(city_edges):
-                edge_blocks.append(city_edges + num_sats)
-                dist_blocks.append(fiber_dists)
-                kind_blocks.append(np.full(len(city_edges), _KIND_FIBER, dtype=np.int8))
-
-        edges = np.vstack(edge_blocks)
-        dists = np.concatenate(dist_blocks)
-        kinds = np.concatenate(kind_blocks)
-
-    return SnapshotGraph(
-        time_s=time_s,
-        mode=mode,
-        num_sats=num_sats,
-        num_gts=num_gts,
-        sat_ecef=sat_ecef,
-        gt_ecef=gt_ecef,
-        edges=edges,
-        edge_dist_m=dists,
-        edge_kind=kinds,
-        stations=stations,
-    )

@@ -111,6 +111,8 @@ class TestCommands:
     def test_run_bad_fault_spec_exits_2(self, capsys):
         assert main(["run", "fig9", "--inject-fault", "warp_core:0.5"]) == 2
         assert "warp_core" in capsys.readouterr().err
+        assert main(["run", "fig9", "--inject-fault", "sat:0.1,seed:-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
 
 class TestFaultTolerantRun:

@@ -56,6 +56,10 @@ class TestParseFaultSpec:
         with pytest.raises(ValueError, match="not in"):
             parse_fault_spec("sat:2.0")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed -1 must be non-negative"):
+            parse_fault_spec("sat:0.1,seed:-1")
+
 
 class TestFailedNodeMask:
     def test_deterministic_under_fixed_seed(self, tiny_bp_graph):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.constants import SPEED_OF_LIGHT, slant_range_m
-from repro.network.graph import ConnectivityMode, build_snapshot_graph
+from repro.network.graph import ConnectivityMode
 from repro.network.links import LinkCapacities, LinkKind
 from repro.orbits.visibility import elevation_deg
 
@@ -124,18 +124,17 @@ class TestDynamics:
         assert g0.num_edges != g1.num_edges or not np.array_equal(g0.edges, g1.edges)
 
     def test_empty_station_table(self, starlink_constellation):
-        from repro.ground.stations import StationTable
+        from repro.core.engine import SnapshotEngine
+        from repro.ground.stations import GroundSegment
 
-        empty = StationTable(
-            lats=np.empty(0),
-            lons=np.empty(0),
-            altitudes=np.empty(0),
-            city_count=0,
-            relay_count=0,
+        empty = GroundSegment(
+            cities=(),
+            relay_lats=np.empty(0),
+            relay_lons=np.empty(0),
+            schedule=None,
         )
-        graph = build_snapshot_graph(
-            starlink_constellation, empty, 0.0, ConnectivityMode.HYBRID
-        )
+        engine = SnapshotEngine(starlink_constellation, empty)
+        graph = engine.graph_at(0.0, ConnectivityMode.HYBRID)
         assert graph.num_gts == 0
         assert np.all(graph.edge_kind == 1)  # Only ISLs remain.
 
