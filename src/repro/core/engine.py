@@ -43,6 +43,7 @@ from scipy.spatial import cKDTree
 from repro.constants import EARTH_RADIUS
 from repro.faults import FaultSpec, apply_faults
 from repro.ground.stations import GroundSegment, StationTable
+from repro.network.contraction import RelayShortcuts, relay_shortcuts
 from repro.network.fiber import city_fiber_edges
 from repro.network.graph import (
     _KIND_FIBER,
@@ -67,11 +68,13 @@ __all__ = [
     "assemble_graph",
 ]
 
-#: Geometry frames kept alive per engine. A two-mode same-instant
-#: workload needs exactly one; serial one-mode-at-a-time passes over
-#: short series benefit from a few more. Frames are the memory-heavy
-#: layer (candidate edges scale with GTs x coverage), so this stays small.
-FRAME_CACHE_SIZE = 8
+#: Geometry frames kept alive per engine. Every multi-snapshot sweep is
+#: time-outer (all modes and variants of one snapshot, then the next), so
+#: it never revisits a finished snapshot: one frame serves a snapshot and
+#: a second keeps a revisit of the previous one (a set-up graph at t = 0
+#: before the sweep, say) cheap. A paper-scale frame holds ~16 MB of
+#: arrays, so older frames would only hold memory.
+FRAME_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,7 @@ class GeometryFrame:
     cand_dist_m: np.ndarray
     _static: StaticContext
     _isl_dist_m: np.ndarray | None = None
+    _relay_shortcuts: RelayShortcuts | None = None
 
     @property
     def num_sats(self) -> int:
@@ -194,6 +198,24 @@ class GeometryFrame:
         if self._isl_dist_m is None:
             self._isl_dist_m = isl_lengths_m(self._static.isl_edges, self.sat_ecef)
         return self._isl_dist_m
+
+    def relay_shortcuts(self) -> RelayShortcuts:
+        """The relay contraction's shortcut table (lazy, memoized).
+
+        It depends on the candidate GT-satellite edges only, so the BP and
+        hybrid graphs assembled from this frame without a GSO or beam
+        filter share it; lazy so that Fig. 4 routing, which searches the
+        full graph, never pays for it. Idempotent like :meth:`isl_dist_m`.
+        """
+        if self._relay_shortcuts is None:
+            self._relay_shortcuts = relay_shortcuts(
+                self.cand_edges[:, 0],
+                self.cand_edges[:, 1],
+                self.cand_dist_m,
+                self.num_sats + self.stations.city_count,
+                self.num_sats,
+            )
+        return self._relay_shortcuts
 
 
 def _build_frame(static: StaticContext, time_s: float) -> GeometryFrame:
@@ -368,6 +390,10 @@ def assemble_graph(
         edge_kind=all_kinds,
         stations=stations,
     )
+    if gso_policy is None and max_gts_per_satellite is None:
+        # The frame's candidate edges are this graph's GT-satellite edges.
+        # A faulted graph is a new object without this link.
+        graph._relay_shortcuts = frame.relay_shortcuts
     return apply_faults(graph, faults)
 
 

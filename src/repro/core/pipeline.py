@@ -6,6 +6,20 @@ single-source run serves every pair sharing that source, and the
 searches run a fixed number of sources at a time. This is the
 workhorse behind the paper's Section 4 (Fig. 2) analysis;
 :func:`compute_rtt_series_multi` is its one sweep entry point.
+
+The RTT row searches the snapshot's relay contraction
+(:mod:`repro.network.contraction`), not the full graph: relays and
+aircraft are pure pass-throughs, so the satellites and cities with one
+shortcut per satellite pair that shares a relay carry every path (the
+paper graph shrinks from 66,528 nodes to 2,584). The row stays byte-identical
+to a full-graph Dijkstra: a cell is either certified (its contracted
+path is the only path within ``ETA = 1e-12`` relative of the shortest,
+so the path's original edge lengths summed in path order are the full
+graph's value) or repaired by a Dijkstra search over the original edges
+of every near-shortest path. ``ETA`` bounds the float rounding of sums
+along paths of up to ~90 edges, ``5 * h * 2**-53``, with a factor of 20
+to spare. Per-pair paths (:func:`pair_paths_on_graph`) and routing still
+search the full graph, whose tie-breaking fixes the paths.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from repro.core.scenario import Scenario
 from repro.obs import span
 from repro.flows.traffic import CityPair, pair_index
 from repro.integrity.guards import check_graph, check_rtt_series, strict_enabled
+from repro.network.contraction import contracted_graph
 from repro.network.graph import ConnectivityMode, SnapshotGraph
 from repro.network.paths import Path, extract_path, source_batched_dijkstra
 
@@ -56,20 +71,27 @@ class RttSeries:
 def _pair_rtts_on_graph(graph: SnapshotGraph, pairs: list[CityPair]) -> np.ndarray:
     """Shortest-path RTT in ms for every pair on one snapshot graph.
 
-    Source-batched (:func:`repro.network.paths.source_batched_dijkstra`):
-    bit-identical to one all-sources call without ever holding its
-    (sources x nodes) distance block.
+    The one RTT-row function. It searches the graph's relay contraction
+    (:mod:`repro.network.contraction`: satellites and cities only),
+    source-batched and forked like every search
+    (:func:`repro.network.paths.source_batched_dijkstra`), and reports
+    each cell exactly as a Dijkstra search of the full graph would: a
+    certified cell as its expanded path's path-order sum, any other from
+    a repair search on a few original edges. The full graph's matrix is
+    never built.
     """
     if not pairs:
         return np.full(0, np.inf)
     index = pair_index(pairs)
-    _, target_nodes = index.gt_nodes(graph.num_sats, graph.num_gts)
+    _, target_nodes = index.gt_nodes(graph.num_sats, graph.stations.city_count)
     with span("dijkstra"):
+        contracted = contracted_graph(graph)
         dist_m, _ = source_batched_dijkstra(
-            graph.matrix(),
+            contracted.matrix,
             graph.num_sats + index.source_cities,
             index.source_row,
             target_nodes,
+            answer=contracted.exact_distances,
         )
     return np.where(np.isfinite(dist_m), 2e3 * dist_m / SPEED_OF_LIGHT, np.inf)
 

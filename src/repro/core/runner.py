@@ -104,6 +104,8 @@ _BASELINE_COUNTERS = (
     "engine.static_misses",
     "engine.frame_hits",
     "engine.frame_misses",
+    "engine.contractions",
+    "rtt.tie_repairs",
     "integrity.quarantined",
     "integrity.shards_verified",
     "integrity.store_errors",

@@ -85,10 +85,10 @@ def run(scale: ScenarioScale | None = None) -> ExperimentResult:
         )
         stage = {}
         modes = (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
-        # Both modes sweep together (shared frames), and the t=0 graphs
-        # for throughput reassemble from the already cached frame.
-        all_series = compute_rtt_series_multi(scenario, modes)
+        # The t=0 graphs for throughput come first, so the sweep's first
+        # snapshot (both modes, shared frames) reuses their cached frame.
         graphs = scenario.graphs_at(0.0, modes)
+        all_series = compute_rtt_series_multi(scenario, modes)
         for mode in modes:
             series = all_series[mode]
             finite = series.rtt_ms[np.isfinite(series.rtt_ms)]

@@ -27,6 +27,31 @@ from repro.reporting.tables import format_summary, format_table
 __all__ = ["outage_reachability", "run"]
 
 
+def _outage_rtts(scenario: Scenario, fractions, modes, seed: int, times_s) -> dict:
+    """RTT rows (pairs x times) per ``(fraction, mode)``, time-outer.
+
+    Every (fraction, mode) graph of one time assembles from the same
+    cached geometry frame before the sweep moves to the next time, so the
+    engine's small frame cache serves them all.
+    """
+    degraded = {f: scenario.with_faults(FaultSpec(sat=f, seed=seed)) for f in fractions}
+    rows: dict = {(f, mode): [] for f in fractions for mode in modes}
+    for time_s in times_s:
+        for (fraction, mode), found in rows.items():
+            variant = degraded[fraction]
+            graph = variant.graph_at(float(time_s), mode)
+            found.append(_pair_rtts_on_graph(graph, variant.pairs))
+    return {key: np.stack(found, axis=1) for key, found in rows.items()}
+
+
+def _summary(rtt: np.ndarray) -> dict:
+    finite = np.isfinite(rtt)
+    return {
+        "reachable": float(np.mean(finite)),
+        "median_rtt_ms": float(np.median(rtt[finite])) if finite.any() else float("nan"),
+    }
+
+
 def outage_reachability(
     scenario: Scenario,
     fraction: float,
@@ -40,19 +65,10 @@ def outage_reachability(
     finite RTT) and ``median_rtt_ms`` (over the reachable cells; ``nan``
     when nothing is reachable). Deterministic under a fixed seed.
     """
-    degraded = scenario.with_faults(FaultSpec(sat=fraction, seed=seed))
     if times_s is None:
-        times_s = [float(t) for t in degraded.times_s]
-    rtts = []
-    for time_s in times_s:
-        graph = degraded.graph_at(float(time_s), mode)
-        rtts.append(_pair_rtts_on_graph(graph, degraded.pairs))
-    rtt = np.stack(rtts, axis=1)
-    finite = np.isfinite(rtt)
-    return {
-        "reachable": float(np.mean(finite)),
-        "median_rtt_ms": float(np.median(rtt[finite])) if finite.any() else float("nan"),
-    }
+        times_s = scenario.times_s
+    rtts = _outage_rtts(scenario, [fraction], [mode], seed, times_s)
+    return _summary(rtts[fraction, mode])
 
 
 @register("faults")
@@ -69,15 +85,12 @@ def run(
     # outage draw is persistent across snapshots anyway.
     times = [float(t) for t in scenario.times_s[:: max(1, len(scenario.times_s) // 4)]]
 
+    modes = (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
+    rtts = _outage_rtts(scenario, fractions, modes, seed, times)
     rows = []
     bp_reachable, hybrid_reachable = [], []
     for fraction in fractions:
-        bp = outage_reachability(
-            scenario, fraction, ConnectivityMode.BP_ONLY, seed=seed, times_s=times
-        )
-        hybrid = outage_reachability(
-            scenario, fraction, ConnectivityMode.HYBRID, seed=seed, times_s=times
-        )
+        bp, hybrid = (_summary(rtts[fraction, mode]) for mode in modes)
         bp_reachable.append(bp["reachable"])
         hybrid_reachable.append(hybrid["reachable"])
         rows.append(

@@ -19,8 +19,9 @@ per-satellite beam limit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -115,6 +116,14 @@ class SnapshotGraph:
     _edge_key_cache: "tuple[np.ndarray, np.ndarray] | None" = None
     _csr_pos_cache: np.ndarray | None = None
     _edge_caps_cache: dict | None = None
+    #: The relay contraction's shortcut table
+    #: (:func:`repro.network.contraction.contracted_graph`), shared with
+    #: the geometry frame this graph was assembled from unfiltered. Not an
+    #: init field, so a graph rebuilt with ``dataclasses.replace`` (other
+    #: edges) never inherits it.
+    _relay_shortcuts: "Callable[[], object] | None" = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def num_nodes(self) -> int:

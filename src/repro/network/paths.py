@@ -121,6 +121,7 @@ def source_batched_dijkstra(
     targets,
     *,
     paths: bool = False,
+    answer=None,
 ):
     """Shortest distances (and paths) for many (source, target) queries.
 
@@ -133,7 +134,11 @@ def source_batched_dijkstra(
     holds at once. Returns ``(dist, nodes)``: ``dist`` the per-query
     distances (``inf`` when unreachable), bit for bit the entries of one
     all-sources call; ``nodes`` the per-query node paths (``None`` when
-    unreachable) when ``paths`` is set, else ``None``.
+    unreachable) when ``paths`` is set, else ``None``. ``answer``
+    (optional, distances only) replaces the gather of a batch's query
+    distances from its block: it is called as ``answer(block, batch
+    sources, query rows, query targets)`` and returns the distances
+    (the relay contraction's exact distances, say).
     """
     sources = np.asarray(sources)
     source_row = np.asarray(source_row)
@@ -158,6 +163,7 @@ def source_batched_dijkstra(
                 source_row[queries[part]] - start,
                 targets[queries[part]],
                 paths,
+                answer,
             )
             found.extend(batch_paths)
         return queries, dist, pack_paths(found) if paths else None
@@ -172,7 +178,7 @@ def source_batched_dijkstra(
     return dist, nodes
 
 
-def _answer_batch(matrix, chunk, rows, query_targets, paths: bool):
+def _answer_batch(matrix, chunk, rows, query_targets, paths: bool, answer):
     """One batch of :func:`source_batched_dijkstra`: ``(dist, paths)``.
 
     ``rows`` indexes each query's source within ``chunk``. A function of
@@ -183,6 +189,8 @@ def _answer_batch(matrix, chunk, rows, query_targets, paths: bool):
         matrix, directed=True, indices=chunk, return_predecessors=paths
     )
     block, pred = result if paths else (result, None)
+    if answer is not None:
+        return answer(block, chunk, rows, query_targets), []
     dist = block[rows, query_targets]
     if not paths:
         return dist, []

@@ -180,7 +180,7 @@ class TestSameResultsForAnyWorkerCount:
         monkeypatch.setattr(paths, "fork_map", lambda fn, n: [fn(i) for i in range(n)])
         monkeypatch.setattr(paths, "_worker_count", lambda searches, nnz: 3)
         monkeypatch.setattr(paths, "_SOURCE_BATCH", 4)
-        _pair_rtts_on_graph(graph, tiny_scenario.pairs)
+        pair_paths_on_graph(graph, tiny_scenario.pairs)
         sources = sorted({graph.gt_node(p.a) for p in tiny_scenario.pairs})
         assert sorted(s for batch in searched for s in batch) == sources
         assert max(len(batch) for batch in searched) <= 4

@@ -82,6 +82,8 @@ class TestArtifactSchemas:
         # Baseline counters are present even at zero.
         assert entry["counters"]["parallel.worker_retries"] == 0
         assert entry["counters"]["search.fork_fallbacks"] == 0
+        assert entry["counters"]["engine.contractions"] == 0
+        assert entry["counters"]["rtt.tie_repairs"] == 0
         # The process's peak RSS: a positive number of MB; the largest
         # reaped child's, a non-negative one.
         assert 1.0 < entry["peak_rss_mb"] < 1e6

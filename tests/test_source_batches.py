@@ -9,7 +9,6 @@ memory of a row with several batches.
 """
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +18,14 @@ from scipy.sparse import csgraph
 from repro.constants import SPEED_OF_LIGHT
 from repro.core.pipeline import _pair_rtts_on_graph, pair_paths_on_graph
 from repro.flows.traffic import CityPair, pair_index
+from repro.ground.stations import StationTable
+from repro.network.graph import (
+    _KIND_FIBER,
+    _KIND_GT_SAT,
+    _KIND_ISL,
+    ConnectivityMode,
+    SnapshotGraph,
+)
 from repro.network import paths
 from repro.network.paths import extract_path, source_batched_dijkstra
 
@@ -28,9 +35,10 @@ BATCH = paths._SOURCE_BATCH
 def _random_graph(num_sats, num_gts, seed, isolated=0):
     """A connected random graph (ring plus chords), as the pipeline sees it.
 
-    The last ``isolated`` GT nodes get no edges, so pairs touching them
-    are unreachable. Edge lengths are rounded to whole metres so equal
-    path lengths (ties) occur.
+    Every GT is a city, so the RTT row's relay contraction keeps every
+    node. The last ``isolated`` GT nodes get no edges, so pairs touching
+    them are unreachable. Edge lengths are rounded to whole metres so
+    equal path lengths (ties) occur.
     """
     rng = np.random.default_rng(seed)
     n = num_sats + num_gts
@@ -43,10 +51,29 @@ def _random_graph(num_sats, num_gts, seed, isolated=0):
     u, v = u[keep], v[keep]
     w = np.round(rng.uniform(1e5, 2e6, len(u)))
     matrix = sparse.coo_matrix((w, (u, v)), shape=(n, n)).tocsr()
-    matrix = matrix.maximum(matrix.T)
-    matrix.sort_indices()
-    return SimpleNamespace(
-        num_sats=num_sats, num_gts=num_gts, matrix=lambda: matrix
+    upper = sparse.triu(matrix.maximum(matrix.T), k=1).tocoo()
+    edges = np.stack([upper.row, upper.col], axis=1).astype(np.int64)
+    is_gt = edges >= num_sats
+    kind = np.where(
+        is_gt.all(axis=1), _KIND_FIBER, np.where(is_gt.any(axis=1), _KIND_GT_SAT, _KIND_ISL)
+    )
+    return SnapshotGraph(
+        time_s=0.0,
+        mode=ConnectivityMode.HYBRID,
+        num_sats=num_sats,
+        num_gts=num_gts,
+        sat_ecef=np.zeros((num_sats, 3)),
+        gt_ecef=np.zeros((num_gts, 3)),
+        edges=edges,
+        edge_dist_m=upper.data,
+        edge_kind=kind.astype(np.int8),
+        stations=StationTable(
+            lats=np.zeros(num_gts),
+            lons=np.zeros(num_gts),
+            altitudes=np.zeros(num_gts),
+            city_count=num_gts,
+            relay_count=0,
+        ),
     )
 
 
